@@ -9,6 +9,8 @@
 //
 // Build: cmake --build build && ./build/examples/quickstart
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "algos/dc_problems.hpp"
 #include "algos/mergesort.hpp"
@@ -16,6 +18,7 @@
 #include "core/hybrid.hpp"
 #include "model/advanced.hpp"
 #include "platforms/platforms.hpp"
+#include "trace/span.hpp"
 #include "util/rng.hpp"
 
 int main() {
@@ -48,16 +51,30 @@ int main() {
 
     sim::CpuUnit one_core(machine.params().cpu);
     const auto seq = core::run_sequential(one_core, mergesort, std::span(baseline));
+    trace::TraceSession session;  // records where the hybrid run's time went
+    core::AdvancedOptions adv;
+    adv.exec.trace = &session;
     const auto hyb = core::run_advanced_hybrid(
         machine, mergesort, std::span(data), plan.alpha,
-        static_cast<std::uint64_t>(std::llround(plan.y)));
+        static_cast<std::uint64_t>(std::llround(plan.y)), adv);
 
     std::cout << "Simulated: 1-core " << seq.total << " ticks, hybrid " << hyb.total
               << " ticks -> speedup " << seq.total / hyb.total << "x\n";
     std::cout << "Sorted correctly: " << std::boolalpha
               << std::is_sorted(data.begin(), data.end()) << "\n\n";
 
-    std::cout << "Timeline of the hybrid run:\n";
-    machine.timeline().print(std::cout);
+    // The run's span tree down to its phases and transfers (levels and
+    // waves sit below; see examples/trace_explorer for the full tree).
+    std::cout << "Span tree of the hybrid run (virtual ticks):\n";
+    std::vector<int> depth(session.spans().size() + 1, 0);
+    for (const trace::Span& s : session.spans()) {
+        depth[s.id] = s.parent == trace::kNoSpan ? 0 : depth[s.parent] + 1;
+        if (s.kind == trace::SpanKind::kLevel || s.kind == trace::SpanKind::kLeaves ||
+            s.kind == trace::SpanKind::kWave) {
+            continue;
+        }
+        std::cout << std::string(2 * static_cast<std::size_t>(depth[s.id]), ' ') << s.label
+                  << "  [" << s.start << ", " << s.end << ")\n";
+    }
     return 0;
 }

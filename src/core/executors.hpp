@@ -1,12 +1,18 @@
 // Single-unit executors for LevelAlgorithms: the 1-core sequential baseline
 // (the paper's speedup denominator), the multi-core breadth-first executor,
 // and the GPU-only breadth-first executor (§4.2). The hybrid schedulers
-// live in core/hybrid.hpp.
+// live in core/hybrid.hpp and core/pipeline.hpp.
 //
 // All executors process the recursion tree bottom-up by *global level*
 // index i (0 = root, L-1 = deepest internal level, L = log_b n), running
 // the a^i independent tasks of each level on the chosen unit. They require
 // a == b so that level tasks tile the array contiguously.
+//
+// Every regular executor is a planner plus one shared interpreter: the
+// planner writes its schedule down as a core::Plan (core/plan.hpp) and
+// run_plan below runs it. The interpreter is the only place that reads
+// the functional/analytic switch, owns the virtual clock, and opens the
+// run, phase, level and wave spans; the verifier checks the same Plan.
 //
 // With ExecOptions::validate on (or HPU_VALIDATE set), every functional
 // level additionally runs the hpu::analysis correctness passes — wave race
@@ -26,6 +32,7 @@
 // by the pooled-vs-inline determinism sweep).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -39,6 +46,7 @@
 #include "analysis/validate.hpp"
 #include "core/labels.hpp"
 #include "core/level_algorithm.hpp"
+#include "core/plan.hpp"
 #include "obs/watchdog.hpp"
 #include "sim/buffer.hpp"
 #include "sim/hpu.hpp"
@@ -173,20 +181,6 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
 
 namespace detail {
 
-template <typename T>
-std::uint64_t level_count(const LevelAlgorithm<T>& alg, std::uint64_t n) {
-    HPU_CHECK(alg.a() == alg.b(),
-              "array executors require a == b (contiguous level tiling)");
-    HPU_CHECK(n >= alg.base_size() * alg.b(), "input must contain at least one division");
-    HPU_CHECK(alg.admissible(n), "input size not admissible for this algorithm");
-    std::uint64_t L = 0, m = n;
-    while (m > alg.base_size()) {
-        m /= alg.b();
-        ++L;
-    }
-    return L;  // internal levels 0 .. L-1; leaves below level L-1
-}
-
 /// Validation context of one run, threaded into the functional helpers:
 /// the analysis sink (null = validation off), the run's static certificate,
 /// and the detector budget. A default-constructed context means
@@ -215,8 +209,7 @@ inline ValCtx validation_ctx(const ExecOptions& opts, ExecReport& rep) {
 
 /// Binds the run's Merge Path context onto the algorithm, right after
 /// prepare(): the functional pool when the kernel is enabled for this run,
-/// a null binding otherwise. Every executor entry point calls this, so a
-/// single ExecOptions flag (or HPU_MERGE_PATH) governs all six executors.
+/// a null binding otherwise.
 template <typename T>
 void bind_merge_exec(const LevelAlgorithm<T>& alg, util::ThreadPool* pool,
                      const ExecOptions& opts) {
@@ -245,10 +238,9 @@ void check_launch(const LevelAlgorithm<T>& alg, verify::Phase phase,
     analysis::detect_races(logs, wave_width, label, *val.report, val.race);
 }
 
-/// Where a detail helper records its trace spans: the session, the parent
-/// span, the virtual-clock tick the helper's span starts at, and (for
-/// level helpers) the global level index. A default-constructed context
-/// means "tracing off".
+/// Where a helper records its trace spans: the session, the parent span,
+/// the virtual-clock tick the span starts at, and (for levels) the global
+/// level index. A default-constructed context means "tracing off".
 struct SpanCtx {
     trace::TraceSession* session = nullptr;
     trace::SpanId parent = trace::kNoSpan;
@@ -364,113 +356,92 @@ inline trace::SpanId trace_analytic_level(const SpanCtx& tc, const std::string& 
                               tc.parent);
 }
 
-/// CPU time of one level in analytic mode (uniform tasks).
+/// Functional CPU sweep over `region`: one tree level of `tasks` tasks, or
+/// (leaves) its base cases. With validation on, task access sets are
+/// recorded and race-checked.
 template <typename T>
-sim::Ticks analytic_cpu_level(const sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg,
-                              std::uint64_t n_total, std::uint64_t tasks, std::uint64_t level,
-                              const SpanCtx& tc = {}) {
-    const auto rec = alg.recurrence();
-    const double ops = rec.task_cost(static_cast<double>(n_total), static_cast<double>(level));
-    const sim::Ticks t =
-        cpu.uniform_level_time(tasks, ops, alg.level_working_set_bytes(n_total));
-    if (tc.on()) {
-        const double work = static_cast<double>(tasks) * ops;
-        trace_analytic_level(tc, alg.name(), "cpu-level", trace::Unit::kCpu, tasks, work,
-                             work, t, trace::SpanKind::kLevel);
-    }
-    return t;
-}
-
-/// Functional CPU execution of one level: run every task, measure, makespan.
-/// With validation on, task access sets are recorded and race-checked.
-template <typename T>
-sim::Ticks functional_cpu_level(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg,
-                                std::span<T> data, std::uint64_t tasks,
-                                const ExecOptions& opts, const ValCtx& val = {},
-                                const SpanCtx& tc = {}) {
+sim::Ticks functional_cpu_sweep(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg,
+                                std::span<T> region, std::uint64_t tasks, bool leaves,
+                                const ExecOptions& opts, const ValCtx& val, const SpanCtx& tc) {
     const std::uint64_t w0 = tc.wall_start();
-    sim::LevelResult r;
-    if (!val.on()) {
-        r = cpu.run_level(
-            tasks,
-            [&](std::uint64_t j, sim::OpCounter& ops) { alg.run_task(data, tasks, j, ops); },
-            alg.level_working_set_bytes(data.size()), opts.order, alg.intra_task_parallel());
-    } else {
-        std::vector<sim::ItemAccessLog> logs(tasks);
-        r = cpu.run_level(
-            tasks,
-            [&](std::uint64_t j, sim::OpCounter& ops) {
-                ops.trace = &logs[j];
-                alg.run_task(data, tasks, j, ops);
-            },
-            alg.level_working_set_bytes(data.size()), opts.order, alg.intra_task_parallel());
-        check_launch(alg, verify::Phase::kCpuTask, logs, cpu.params().p,
-                     data.size() / tasks, launch_label(alg.name(), "cpu-level", tasks), val);
+    const char* phase = leaves ? "cpu-leaves" : "cpu-level";
+    std::vector<sim::ItemAccessLog> logs(val.on() ? tasks : 0);
+    auto body = [&](std::uint64_t j, sim::OpCounter& ops) {
+        if (val.on()) ops.trace = &logs[j];
+        if (leaves) {
+            alg.run_leaf(region, tasks, j, ops);
+        } else {
+            alg.run_task(region, tasks, j, ops);
+        }
+    };
+    const sim::LevelResult r =
+        leaves ? cpu.run_level(tasks, body)
+               : cpu.run_level(tasks, body, alg.level_working_set_bytes(region.size()),
+                               opts.order, alg.intra_task_parallel());
+    if (val.on()) {
+        check_launch(alg, leaves ? verify::Phase::kLeaf : verify::Phase::kCpuTask, logs,
+                     cpu.params().p, leaves ? alg.base_size() : region.size() / tasks,
+                     launch_label(alg.name(), phase, tasks), val);
     }
     if (tc.on()) {
-        annotate_wall(tc, trace_cpu_level(tc, alg.name(), "cpu-level", r,
-                                          trace::SpanKind::kLevel),
+        annotate_wall(tc, trace_cpu_level(tc, alg.name(), phase, r,
+                                          leaves ? trace::SpanKind::kLeaves
+                                                 : trace::SpanKind::kLevel),
                       w0);
     }
     return r.time;
 }
 
-/// Functional device execution of one level as a kernel of `tasks` items.
-/// With validation on, the launch is race-checked AND re-executed in a
-/// permuted item order to catch order-dependent kernels the declared
-/// access sets miss.
+/// Functional device sweep over `view` as one kernel of `tasks` items (a
+/// level, or its base cases). With validation on, the launch is
+/// race-checked and a level is re-executed in a permuted item order to
+/// catch order-dependent kernels the declared access sets miss.
 template <typename T>
-sim::Ticks functional_gpu_level(sim::Device& dev, const LevelAlgorithm<T>& alg,
-                                std::span<T> device_data, std::uint64_t tasks,
-                                const ValCtx& val = {}, const SpanCtx& tc = {}) {
+sim::Ticks functional_gpu_sweep(sim::Device& dev, const LevelAlgorithm<T>& alg,
+                                std::span<T> view, std::uint64_t tasks, bool leaves,
+                                const ValCtx& val, const SpanCtx& tc) {
     const std::uint64_t w0 = tc.wall_start();
+    const char* phase = leaves ? "gpu-leaves" : "gpu-level";
     std::vector<sim::WaveTrace> waves;
     WaveTraceGuard guard(dev, tc.on() ? &waves : nullptr);
-    sim::LaunchResult r;
-    if (!val.on()) {
-        r = dev.launch(
-            tasks,
-            [&](sim::WorkItem& wi) {
-                alg.run_device_task(device_data, tasks, wi.global_id(), wi.ops());
-            },
-            alg.intra_task_parallel());
-    } else {
-        std::vector<sim::ItemAccessLog> logs(tasks);
-        const std::vector<T> before(device_data.begin(), device_data.end());
-        r = dev.launch(
-            tasks,
-            [&](sim::WorkItem& wi) {
-                wi.ops().trace = &logs[wi.global_id()];
-                alg.run_device_task(device_data, tasks, wi.global_id(), wi.ops());
-            },
-            alg.intra_task_parallel());
-        const std::string label = launch_label(alg.name(), "gpu-level", tasks);
-        check_launch(alg, verify::Phase::kDeviceTask, logs, dev.params().g,
-                     device_data.size() / tasks, label, val);
-        const std::vector<T> after(device_data.begin(), device_data.end());
-        auto finding = analysis::check_schedule_independence(
-            device_data, std::span<const T>(before), std::span<const T>(after), tasks,
-            [&](std::uint64_t j) {
-                sim::OpCounter throwaway;
-                alg.run_device_task(device_data, tasks, j, throwaway);
-            },
-            /*seed=*/tasks, label);
-        if (finding) val.report->add(std::move(*finding));
+    std::vector<sim::ItemAccessLog> logs(val.on() ? tasks : 0);
+    std::vector<T> before;
+    if (val.on() && !leaves) before.assign(view.begin(), view.end());
+    auto body = [&](sim::WorkItem& wi) {
+        if (val.on()) wi.ops().trace = &logs[wi.global_id()];
+        if (leaves) {
+            alg.run_leaf(view, tasks, wi.global_id(), wi.ops());
+        } else {
+            alg.run_device_task(view, tasks, wi.global_id(), wi.ops());
+        }
+    };
+    const sim::LaunchResult r =
+        leaves ? dev.launch(tasks, body) : dev.launch(tasks, body, alg.intra_task_parallel());
+    if (val.on()) {
+        const std::string label = launch_label(alg.name(), phase, tasks);
+        check_launch(alg, leaves ? verify::Phase::kLeaf : verify::Phase::kDeviceTask, logs,
+                     dev.params().g, leaves ? alg.base_size() : view.size() / tasks, label,
+                     val);
+        if (!leaves) {
+            const std::vector<T> after(view.begin(), view.end());
+            auto finding = analysis::check_schedule_independence(
+                view, std::span<const T>(before), std::span<const T>(after), tasks,
+                [&](std::uint64_t j) {
+                    sim::OpCounter throwaway;
+                    alg.run_device_task(view, tasks, j, throwaway);
+                },
+                /*seed=*/tasks, label);
+            if (finding) val.report->add(std::move(*finding));
+        }
     }
     if (tc.on()) {
         annotate_wall(tc,
-                      trace_gpu_launch(tc, alg.name(), "gpu-level", dev, r, tasks, waves,
-                                       trace::SpanKind::kLevel),
+                      trace_gpu_launch(tc, alg.name(), phase, dev, r, tasks, waves,
+                                       leaves ? trace::SpanKind::kLeaves
+                                              : trace::SpanKind::kLevel),
                       w0);
     }
     return r.time;
-}
-
-/// Virtual time of a device-side hook (permutation, ping-pong flip):
-/// charged as perfectly parallel device work spread over all g lanes.
-inline sim::Ticks hook_time(const sim::Device& dev, const sim::OpCounter& ops) {
-    return ops.gpu_ops(dev.params().strided_penalty) / dev.params().gamma /
-           static_cast<double>(dev.params().g);
 }
 
 /// hook_time plus an optional kHook span (skipped when the hook charged
@@ -492,26 +463,6 @@ inline sim::Ticks traced_hook(const sim::Device& dev, const sim::OpCounter& ops,
     return t;
 }
 
-/// Analytic device time of one level (uniform tasks, device pricing via the
-/// algorithm's op mix).
-template <typename T>
-sim::Ticks analytic_gpu_level(const sim::Device& dev, const LevelAlgorithm<T>& alg,
-                              std::uint64_t n_total, std::uint64_t tasks, std::uint64_t level,
-                              const SpanCtx& tc = {}) {
-    const auto rec = alg.recurrence();
-    const double work =
-        rec.task_cost(static_cast<double>(n_total), static_cast<double>(level));
-    const double ops = work * alg.device_ops_multiplier(dev.params());
-    const sim::Ticks t = dev.uniform_launch_time(tasks, ops);
-    if (tc.on()) {
-        trace_analytic_level(tc, alg.name(), "gpu-level", trace::Unit::kGpu, tasks,
-                             static_cast<double>(tasks) * work,
-                             static_cast<double>(tasks) * ops, t, trace::SpanKind::kLevel,
-                             dev.params().g);
-    }
-    return t;
-}
-
 /// Host pre-pass (e.g. FFT bit-reversal), priced as p-way parallel CPU work.
 template <typename T>
 sim::Ticks host_pre_pass(const LevelAlgorithm<T>& alg, std::span<T> data, std::size_t p,
@@ -528,86 +479,6 @@ sim::Ticks host_pre_pass(const LevelAlgorithm<T>& alg, std::span<T> data, std::s
             tc.session->record(trace::SpanKind::kHook, trace::Unit::kCpu,
                                phase_label(alg.name(), "pre"), tc.at, t, a, tc.parent);
         annotate_wall(tc, id, w0);
-    }
-    return t;
-}
-
-/// Leaf sweep on the CPU unit: functional when the algorithm has real leaf
-/// work, analytic otherwise.
-template <typename T>
-sim::Ticks cpu_leaves(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::span<T> region,
-                      bool functional, const ValCtx& val = {}, const SpanCtx& tc = {}) {
-    const std::uint64_t count = region.size() / alg.base_size();
-    if (count == 0) return 0.0;
-    if (functional && alg.has_leaf_work()) {
-        const std::uint64_t w0 = tc.wall_start();
-        sim::LevelResult r;
-        if (!val.on()) {
-            r = cpu.run_level(count, [&](std::uint64_t j, sim::OpCounter& ops) {
-                alg.run_leaf(region, count, j, ops);
-            });
-        } else {
-            std::vector<sim::ItemAccessLog> logs(count);
-            r = cpu.run_level(count, [&](std::uint64_t j, sim::OpCounter& ops) {
-                ops.trace = &logs[j];
-                alg.run_leaf(region, count, j, ops);
-            });
-            check_launch(alg, verify::Phase::kLeaf, logs, cpu.params().p, alg.base_size(),
-                         launch_label(alg.name(), "cpu-leaves", count), val);
-        }
-        if (tc.on()) {
-            annotate_wall(tc, trace_cpu_level(tc, alg.name(), "cpu-leaves", r,
-                                              trace::SpanKind::kLeaves),
-                          w0);
-        }
-        return r.time;
-    }
-    const sim::Ticks t = cpu.uniform_level_time(count, alg.recurrence().leaf_cost);
-    if (tc.on()) {
-        const double work = static_cast<double>(count) * alg.recurrence().leaf_cost;
-        trace_analytic_level(tc, alg.name(), "cpu-leaves", trace::Unit::kCpu, count, work,
-                             work, t, trace::SpanKind::kLeaves);
-    }
-    return t;
-}
-
-/// Leaf sweep on the device, one work-item per base block.
-template <typename T>
-sim::Ticks gpu_leaves(sim::Device& dev, const LevelAlgorithm<T>& alg, std::span<T> region,
-                      bool functional, const ValCtx& val = {}, const SpanCtx& tc = {}) {
-    const std::uint64_t count = region.size() / alg.base_size();
-    if (count == 0) return 0.0;
-    if (functional && alg.has_leaf_work()) {
-        const std::uint64_t w0 = tc.wall_start();
-        std::vector<sim::WaveTrace> waves;
-        WaveTraceGuard guard(dev, tc.on() ? &waves : nullptr);
-        sim::LaunchResult r;
-        if (!val.on()) {
-            r = dev.launch(count, [&](sim::WorkItem& wi) {
-                alg.run_leaf(region, count, wi.global_id(), wi.ops());
-            });
-        } else {
-            std::vector<sim::ItemAccessLog> logs(count);
-            r = dev.launch(count, [&](sim::WorkItem& wi) {
-                wi.ops().trace = &logs[wi.global_id()];
-                alg.run_leaf(region, count, wi.global_id(), wi.ops());
-            });
-            check_launch(alg, verify::Phase::kLeaf, logs, dev.params().g, alg.base_size(),
-                         launch_label(alg.name(), "gpu-leaves", count), val);
-        }
-        if (tc.on()) {
-            annotate_wall(tc,
-                          trace_gpu_launch(tc, alg.name(), "gpu-leaves", dev, r, count, waves,
-                                           trace::SpanKind::kLeaves),
-                          w0);
-        }
-        return r.time;
-    }
-    const sim::Ticks t = dev.uniform_launch_time(count, alg.recurrence().leaf_cost);
-    if (tc.on()) {
-        const double work = static_cast<double>(count) * alg.recurrence().leaf_cost;
-        trace_analytic_level(tc, alg.name(), "gpu-leaves", trace::Unit::kGpu, count, work,
-                             work, t, trace::SpanKind::kLeaves, dev.params().g);
     }
     return t;
 }
@@ -642,9 +513,9 @@ inline void close_run(const ExecOptions& opts, trace::SpanId run, sim::Ticks tot
 /// ExecOptions::observe is on. Called strictly after close_run — every
 /// tick of the report is already settled, and the observation is read-only
 /// over the session, so enabling it cannot perturb anything (enforced by
-/// test). CPU-only executors pass a partial HpuParams (their CpuParams
-/// plus defaults): without GPU or link spans the device-side parameters
-/// stay non-identifiable and fire no findings.
+/// test). CPU-only runs pass a partial HpuParams (their CpuParams plus
+/// defaults): without GPU or link spans the device-side parameters stay
+/// non-identifiable and fire no findings.
 template <typename T>
 void observe_run(const ExecOptions& opts, ExecReport& rep, trace::SpanId run,
                  const sim::HpuParams& hw, const LevelAlgorithm<T>& alg,
@@ -686,7 +557,337 @@ inline trace::SpanId open_phase(const ExecOptions& opts, trace::SpanId run,
                               0.0, {}, run);
 }
 
+/// Where each step of a Plan landed on the clock (pricing mode).
+struct PricedStep {
+    bool ran = false;
+    sim::Ticks start = 0.0;
+    sim::Ticks time = 0.0;
+};
+
+/// The one interpreter of a core::Plan. It owns the virtual clock: blocks
+/// start when their dependencies are met, phases open and close spans, and
+/// the ExecReport is summed the way the Plan says. Functional mode runs
+/// the task bodies on real data (a device buffer stands in for device
+/// memory); analytic mode prices every step from the recurrence and
+/// touches no data beyond the host pre-pass. Pricing mode (`priced` set)
+/// is analytic without spans or the pre-pass and records each step's
+/// placement for the verifier.
+template <typename T>
+class Interpreter {
+public:
+    Interpreter(const Plan& plan, sim::CpuUnit& cpu, sim::Device* dev,
+                const LevelAlgorithm<T>& alg, std::span<T> data, const ExecOptions& opts,
+                ExecReport& rep, std::vector<PricedStep>* priced = nullptr)
+        : plan_(plan), cpu_(cpu), dev_(dev), alg_(alg), data_(data), opts_(opts), rep_(rep),
+          priced_(priced), fn_(opts.functional && priced == nullptr),
+          val_(validation_ctx(opts, rep)), name_(alg.name()) {}
+
+    void run() {
+        run_ = open_run(opts_, name_, plan_.executor, plan_.n);
+        std::vector<sim::Ticks> block_end(plan_.steps.size(), 0.0);
+        sim::Ticks prev_close = 0.0, sync = 0.0;
+        bool joined = false;
+        for (const Phase& ph : plan_.phases) {
+            const sim::Ticks origin = ph.origin == Origin::kPre       ? pre_
+                                      : ph.origin == Origin::kPrevClose ? prev_close
+                                      : ph.origin == Origin::kSync      ? pre_ + sync
+                                                                        : 0.0;
+            const trace::SpanId span =
+                ph.label != nullptr && priced_ == nullptr
+                    ? open_phase(opts_, run_, name_, ph.label, ph.unit, origin)
+                    : trace::kNoSpan;
+            const trace::SpanId parent = ph.label != nullptr ? span : run_;
+            const sim::Ticks zero = ph.clock == Clock::kAbsolute ? origin : 0.0;
+            sim::Ticks free[4] = {zero, zero, zero, zero};  // by trace::Unit
+            sim::Ticks start = zero, k = 0.0, charge = 0.0, end = zero;
+            const Step* head = nullptr;  // first step of the open block
+            auto close_block = [&] {
+                if (head == nullptr) return;
+                end = start + k;
+                block_end[static_cast<std::size_t>(head - plan_.steps.data())] = end;
+                free[static_cast<int>(head->unit)] = end;
+                tally(head->tally, charge);
+                head = nullptr;
+            };
+            for (std::size_t i = ph.first; i < ph.last; ++i) {
+                const Step& s = plan_.steps[i];
+                if (ph.serial || s.block) {
+                    close_block();
+                    const sim::Ticks ready =
+                        ph.serial ? end
+                                  : (s.after >= 0 ? block_end[static_cast<std::size_t>(s.after)]
+                                                  : zero);
+                    start = std::max(ready, free[static_cast<int>(s.unit)]);
+                    k = charge = 0.0;
+                    head = &s;
+                    if (fn_ && plan_.streamed && s.unit == trace::Unit::kGpu) {
+                        view_ = buf_->device_region(s.slice.offset - plan_.device.offset,
+                                                    s.slice.words, start);
+                        view_at_ = s.slice.offset;
+                    }
+                }
+                if (s.mode == (fn_ ? StepMode::kAnalytic : StepMode::kFunctional)) continue;
+                const sim::Ticks at = ph.clock == Clock::kShifted  ? (origin + start) + k
+                                      : ph.clock == Clock::kNested ? origin + (start + k)
+                                                                   : origin + ((start + k) - origin);
+                const SpanCtx tc{priced_ == nullptr ? opts_.trace : nullptr, parent, at,
+                                 s.kind == StepKind::kLevel ? s.level : trace::SpanAttrs::kNoLevel,
+                                 opts_.profile};
+                sim::Ticks advance = 0.0;
+                const sim::Ticks time = execute(s, tc, start + k, advance);
+                if (priced_ != nullptr) (*priced_)[i] = {true, at, time};
+                k += advance;
+                charge += time;
+            }
+            close_block();
+            const sim::Ticks close = ph.clock == Clock::kAbsolute ? end : origin + end;
+            if (span != trace::kNoSpan) opts_.trace->close(span, close);
+            if (ph.origin == Origin::kPre) {
+                sync = joined ? std::max(sync, end) : end;
+                joined = true;
+            }
+            prev_close = close;
+            if (released_) release_device();
+        }
+        rep_.alpha_effective = plan_.alpha_effective;
+        rep_.chunks = plan_.chunks;
+        rep_.total = plan_.total == Total::kCpuGpuLink
+                         ? rep_.cpu_busy + rep_.gpu_busy + rep_.transfer
+                     : plan_.total == Total::kGpuCpuLink
+                         ? rep_.gpu_busy + rep_.cpu_busy + rep_.transfer
+                         : prev_close;
+        close_run(opts_, run_, rep_.total);
+        observe_run(opts_, rep_, run_, plan_.hw, alg_, cpu_.pool(), plan_.requested_chunks,
+                    plan_.chunks);
+    }
+
+private:
+    void tally(Tally t, sim::Ticks x) {
+        switch (t) {
+            case Tally::kCpu: rep_.cpu_busy += x; break;
+            case Tally::kGpu: rep_.gpu_busy += x; break;
+            case Tally::kLink: rep_.transfer += x; break;
+            case Tally::kFinish: rep_.finish += x; break;
+            case Tally::kNone: break;
+        }
+    }
+
+    std::span<T> host(const Slice& s) const { return data_.subspan(s.offset, s.words); }
+    std::span<T> device(const Slice& s) const {
+        return view_.subspan(s.offset - view_at_, s.words);
+    }
+
+    /// Runs (or prices) one step at span tick tc.at and block-frame tick
+    /// `now`. Returns the time charged to the block's tally; `advance` is
+    /// how far the block clock moves (they differ only for streamed
+    /// transfers, which charge end − start).
+    sim::Ticks execute(const Step& s, const SpanCtx& tc, sim::Ticks now, sim::Ticks& advance) {
+        sim::Ticks t = 0.0;
+        switch (s.kind) {
+            case StepKind::kPrePass:
+                pre_ = priced_ != nullptr ? 0.0 : host_pre_pass(alg_, data_, plan_.hw.cpu.p, tc);
+                t = pre_;
+                break;
+            case StepKind::kHook: t = hook(s, tc); break;
+            case StepKind::kLeaves:
+            case StepKind::kLevel: t = sweep(s, tc); break;
+            case StepKind::kTransfer: {
+                const sim::Ticks x = s.timed ? plan_.hw.link.transfer_time(s.slice.words) : 0.0;
+                // A streamed chunk occupies the link for end − start.
+                t = plan_.streamed ? (now + x) - now : x;
+                advance = x;
+                const std::uint64_t w0 = tc.wall_start();
+                if (fn_) move_data(s, now, now + x);
+                if (s.timed) {
+                    trace_transfer(tc, name_, s.what, s.slice.words, s.slice.words * sizeof(T),
+                                   t, w0);
+                }
+                return t;
+            }
+        }
+        advance = t;
+        return t;
+    }
+
+    sim::Ticks hook(const Step& s, const SpanCtx& tc) {
+        if (s.hook == HookCall::kLump) {
+            return traced_hook(*dev_, alg_.analytic_gpu_hook_ops(s.slice.words), name_, s.what,
+                               tc);
+        }
+        const std::uint64_t w0 = tc.wall_start();
+        const std::span<T> view = device(s.slice);
+        const std::uint64_t count = s.slice.words / plan_.task_size(s.level);
+        sim::OpCounter ops;
+        if (s.hook == HookCall::kBeforeLevels) alg_.before_gpu_levels(view, count, ops);
+        if (s.hook == HookCall::kAfterLevel) alg_.after_gpu_level(view, count, ops);
+        if (s.hook == HookCall::kAfterLevels) alg_.after_gpu_levels(view, count, ops);
+        return traced_hook(*dev_, ops, name_, s.what, tc, w0);
+    }
+
+    /// A leaf sweep or a tree level on either unit.
+    sim::Ticks sweep(const Step& s, const SpanCtx& tc) {
+        const bool leaves = s.kind == StepKind::kLeaves;
+        const bool gpu = s.unit == trace::Unit::kGpu;
+        const std::uint64_t tasks =
+            s.slice.words / (leaves ? alg_.base_size() : plan_.task_size(s.level));
+        if (tasks == 0) return 0.0;
+        if (!leaves && s.counted) ++(gpu ? rep_.levels_gpu : rep_.levels_cpu);
+        if (fn_ && (!leaves || alg_.has_leaf_work())) {
+            return gpu ? functional_gpu_sweep(*dev_, alg_, device(s.slice), tasks, leaves, val_,
+                                              tc)
+                       : functional_cpu_sweep(cpu_, alg_, host(s.slice), tasks, leaves, opts_,
+                                              val_, tc);
+        }
+        const Price p = leaves ? (gpu ? price_leaves(*dev_, alg_, tasks)
+                                      : price_leaves(cpu_, alg_, tasks))
+                               : (gpu ? price_level(*dev_, alg_, plan_.n, tasks, s.level)
+                                      : price_level(cpu_, alg_, plan_.n, tasks, s.level));
+        if (tc.on()) {
+            static constexpr const char* kPhase[2][2] = {{"cpu-level", "gpu-level"},
+                                                         {"cpu-leaves", "gpu-leaves"}};
+            trace_analytic_level(tc, name_, kPhase[leaves][gpu], s.unit, tasks, p.work, p.ops,
+                                 p.time,
+                                 leaves ? trace::SpanKind::kLeaves : trace::SpanKind::kLevel,
+                                 gpu ? dev_->params().g : 0);
+        }
+        return p.time;
+    }
+
+    /// The physical side of a transfer: the device buffer is created by the
+    /// first copy in, bulk copies acquire the whole device view, streamed
+    /// chunks record their link schedule [start, end) for the residency
+    /// lint.
+    void move_data(const Step& s, sim::Ticks start, sim::Ticks end) {
+        const std::size_t rel = s.slice.offset - plan_.device.offset;
+        if (s.to_device) {
+            if (!buf_) {
+                const std::span<T> region = host(plan_.device);
+                buf_.emplace(std::vector<T>(region.begin(), region.end()));
+                if (val_.on()) buf_->set_trace(&buf_events_);
+            }
+            if (plan_.streamed) {
+                buf_->stream_to_device(rel, s.slice.words, start, end);
+            } else {
+                buf_->copy_to_device();
+                view_ = buf_->device();
+                view_at_ = plan_.device.offset;
+            }
+        } else {
+            if (plan_.streamed) {
+                buf_->stream_to_host(rel, s.slice.words, start, end);
+            } else {
+                buf_->copy_to_host();
+            }
+            released_ = true;
+        }
+    }
+
+    /// Ships the retrieved device buffer back into the array and lints its
+    /// residency log.
+    void release_device() {
+        std::copy(buf_->host_view().begin(), buf_->host_view().end(),
+                  data_.begin() + static_cast<std::ptrdiff_t>(plan_.device.offset));
+        if (val_.on()) {
+            analysis::lint_residency(buf_events_, name_ + "/device-buffer", *val_.report);
+        }
+        buf_.reset();
+        released_ = false;
+    }
+
+    const Plan& plan_;
+    sim::CpuUnit& cpu_;
+    sim::Device* dev_;
+    const LevelAlgorithm<T>& alg_;
+    std::span<T> data_;
+    const ExecOptions& opts_;
+    ExecReport& rep_;
+    std::vector<PricedStep>* priced_;
+    const bool fn_;
+    const ValCtx val_;
+    const std::string name_;
+    trace::SpanId run_ = trace::kNoSpan;
+    sim::Ticks pre_ = 0.0;
+    std::optional<sim::DeviceBuffer<T>> buf_;
+    std::vector<sim::BufferEvent> buf_events_;
+    std::span<T> view_;
+    std::uint64_t view_at_ = 0;  ///< element of the array view_ starts at
+    bool released_ = false;
+};
+
+/// Certificate of a regular run: proves the algorithm's footprints and
+/// checks the schedule invariants on the very Plan the interpreter will
+/// run, priced analytically from tick 0 (the pre-pass needs the data and
+/// is not part of the checked schedule).
+template <typename T>
+hpu::verify::VerifyReport verify_plan(const Plan& plan, sim::CpuUnit& cpu, sim::Device* dev,
+                                      const LevelAlgorithm<T>& alg) {
+    using verify::PlanEvent;
+    hpu::verify::VerifyReport rep = verify::prove_algorithm(alg);
+    rep.executor = plan.executor;
+    rep.n = plan.n;
+    std::vector<PricedStep> priced(plan.steps.size());
+    ExecOptions analytic;
+    analytic.functional = false;
+    analytic.validate = analytic.profile = analytic.verify = analytic.observe = false;
+    ExecReport scratch;
+    Interpreter<T>(plan, cpu, dev, alg, {}, analytic, scratch, &priced).run();
+
+    verify::SchedulePlan sp;
+    sp.executor = plan.executor;
+    for (std::size_t i = 0; i < plan.steps.size(); ++i) {
+        const Step& s = plan.steps[i];
+        const PricedStep& at = priced[i];
+        if (!at.ran || s.kind == StepKind::kPrePass || s.kind == StepKind::kHook) continue;
+        const bool gpu = s.unit == trace::Unit::kGpu;
+        PlanEvent e;
+        e.unit = gpu ? PlanEvent::Unit::kGpu : PlanEvent::Unit::kCpu;
+        e.start = at.start;
+        e.duration = at.time;
+        e.offset = s.slice.offset;
+        e.words = s.slice.words;
+        if (s.kind == StepKind::kTransfer) {
+            if (!s.timed) continue;
+            e.unit = PlanEvent::Unit::kLink;
+            e.kind = s.to_device ? PlanEvent::Kind::kXferIn : PlanEvent::Kind::kXferOut;
+            e.label = s.what;
+        } else if (s.kind == StepKind::kLeaves) {
+            e.kind = PlanEvent::Kind::kLeaves;
+            e.tasks = s.slice.words / alg.base_size();
+            if (e.tasks == 0) continue;
+            e.work = gpu ? price_leaves(*dev, alg, e.tasks).work : price_leaves(cpu, alg, e.tasks).work;
+            e.label = std::string(gpu ? "gpu" : "cpu") + "-leaves[" + std::to_string(e.tasks) + "]";
+        } else {
+            e.tasks = s.slice.words / plan.task_size(s.level);
+            e.words = e.tasks * plan.task_size(s.level);
+            e.work = gpu ? price_level(*dev, alg, plan.n, e.tasks, s.level).ops
+                         : price_level(cpu, alg, plan.n, e.tasks, s.level).work;
+            e.label = std::string(gpu ? "gpu" : "cpu") + "-level[" + std::to_string(e.tasks) + "]";
+        }
+        sp.events.push_back(std::move(e));
+    }
+    if (plan.guarded) verify::check_never_worse(plan.est_chosen, plan.est_mono, plan.chunks, rep);
+    verify::check_plan(sp, plan.hw, rep);
+    return rep;
+}
+
 }  // namespace detail
+
+/// Runs `plan` for `alg` over `data`: the common body of every regular
+/// executor. Only functional runs prepare the algorithm's scratch and bind
+/// its merge kernel — analytic runs touch no data.
+template <typename T>
+ExecReport run_plan(const Plan& plan, sim::CpuUnit& cpu, sim::Device* dev,
+                    const LevelAlgorithm<T>& alg, std::span<T> data, const ExecOptions& opts) {
+    if (opts.functional) {
+        alg.prepare(data.size());
+        detail::bind_merge_exec(alg, cpu.pool(), opts);
+    }
+    ExecReport rep;
+    rep.trace = opts.trace;
+    if (opts.verify) rep.verify = detail::verify_plan(plan, cpu, dev, alg);
+    detail::Interpreter<T>(plan, cpu, dev, alg, data, opts, rep).run();
+    return rep;
+}
 
 /// 1-core sequential execution — the paper's baseline comparator. The
 /// recursive (Alg. 1) and breadth-first (Alg. 2) orders charge identical
@@ -694,20 +895,6 @@ inline trace::SpanId open_phase(const ExecOptions& opts, trace::SpanId run,
 template <typename T>
 ExecReport run_sequential(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::span<T> data,
                           const ExecOptions& opts = {}) {
-    if (const auto* irr = alg.as_irregular()) {
-        sim::CpuParams one_core = cpu.params();
-        one_core.p = 1;
-        one_core.contention = 0.0;
-        sim::CpuUnit single(one_core, cpu.pool());
-        sim::HpuParams hw;
-        hw.cpu = one_core;
-        return run_irregular(single, static_cast<sim::Device*>(nullptr), hw, *irr, data,
-                             IrregularMode::kSequential, opts, /*chunks=*/0,
-                             /*include_transfers=*/false, "sequential");
-    }
-    const std::uint64_t L = detail::level_count(alg, data.size());
-    alg.prepare(data.size());
-    detail::bind_merge_exec(alg, cpu.pool(), opts);
     sim::CpuParams one_core = cpu.params();
     one_core.p = 1;
     one_core.contention = 0.0;  // a single core does not compete with itself
@@ -715,34 +902,15 @@ ExecReport run_sequential(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::
     // still rides the caller's thread pool — the two clocks are
     // independent (DESIGN.md §10).
     sim::CpuUnit single(one_core, cpu.pool());
-    ExecReport rep;
-    rep.trace = opts.trace;
-    if (opts.verify) {
-        rep.verify = verify::verify_cpu_run(alg, data.size(), single, "sequential");
+    if (const auto* irr = alg.as_irregular()) {
+        sim::HpuParams hw;
+        hw.cpu = one_core;
+        return run_irregular(single, static_cast<sim::Device*>(nullptr), hw, *irr, data,
+                             IrregularMode::kSequential, opts, /*chunks=*/0,
+                             /*include_transfers=*/false, "sequential");
     }
-    const detail::ValCtx val = detail::validation_ctx(opts, rep);
-    const trace::SpanId run = detail::open_run(opts, alg.name(), "sequential", data.size());
-    const detail::SpanCtx tc{opts.trace, run, 0.0, trace::SpanAttrs::kNoLevel, opts.profile};
-    rep.cpu_busy += detail::host_pre_pass(alg, data, 1, tc);
-    rep.cpu_busy +=
-        detail::cpu_leaves(single, alg, data, opts.functional, val, tc.shifted(rep.cpu_busy));
-    // Internal levels, bottom-up.
-    for (std::uint64_t i = L; i-- > 0;) {
-        const std::uint64_t tasks = util::ipow(alg.a(), static_cast<std::uint32_t>(i));
-        const detail::SpanCtx lt = tc.shifted(rep.cpu_busy, i);
-        rep.cpu_busy += opts.functional
-                            ? detail::functional_cpu_level(single, alg, data, tasks, opts, val,
-                                                           lt)
-                            : detail::analytic_cpu_level(single, alg, data.size(), tasks, i,
-                                                         lt);
-        ++rep.levels_cpu;
-    }
-    rep.total = rep.cpu_busy;
-    detail::close_run(opts, run, rep.total);
-    sim::HpuParams hw;
-    hw.cpu = one_core;
-    detail::observe_run(opts, rep, run, hw, alg, cpu.pool());
-    return rep;
+    return run_plan(plan_cpu(alg, data.size(), one_core, "sequential"), single, nullptr, alg,
+                    data, opts);
 }
 
 /// Multi-core breadth-first execution on the HPU's p CPU cores (GPU idle).
@@ -756,34 +924,8 @@ ExecReport run_multicore(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::s
                              IrregularMode::kMulticore, opts, /*chunks=*/0,
                              /*include_transfers=*/false, "multicore");
     }
-    const std::uint64_t L = detail::level_count(alg, data.size());
-    alg.prepare(data.size());
-    detail::bind_merge_exec(alg, cpu.pool(), opts);
-    ExecReport rep;
-    rep.trace = opts.trace;
-    if (opts.verify) {
-        rep.verify = verify::verify_cpu_run(alg, data.size(), cpu, "multicore");
-    }
-    const detail::ValCtx val = detail::validation_ctx(opts, rep);
-    const trace::SpanId run = detail::open_run(opts, alg.name(), "multicore", data.size());
-    const detail::SpanCtx tc{opts.trace, run, 0.0, trace::SpanAttrs::kNoLevel, opts.profile};
-    rep.cpu_busy += detail::host_pre_pass(alg, data, cpu.params().p, tc);
-    rep.cpu_busy +=
-        detail::cpu_leaves(cpu, alg, data, opts.functional, val, tc.shifted(rep.cpu_busy));
-    for (std::uint64_t i = L; i-- > 0;) {
-        const std::uint64_t tasks = util::ipow(alg.a(), static_cast<std::uint32_t>(i));
-        const detail::SpanCtx lt = tc.shifted(rep.cpu_busy, i);
-        rep.cpu_busy += opts.functional
-                            ? detail::functional_cpu_level(cpu, alg, data, tasks, opts, val, lt)
-                            : detail::analytic_cpu_level(cpu, alg, data.size(), tasks, i, lt);
-        ++rep.levels_cpu;
-    }
-    rep.total = rep.cpu_busy;
-    detail::close_run(opts, run, rep.total);
-    sim::HpuParams hw;
-    hw.cpu = cpu.params();
-    detail::observe_run(opts, rep, run, hw, alg, cpu.pool());
-    return rep;
+    return run_plan(plan_cpu(alg, data.size(), cpu.params(), "multicore"), cpu, nullptr, alg,
+                    data, opts);
 }
 
 /// GPU-only breadth-first execution (§4.2): ship the array, run every level
@@ -797,121 +939,8 @@ ExecReport run_gpu(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std::span<T> dat
                              IrregularMode::kGpu, opts, /*chunks=*/0, include_transfers,
                              "gpu");
     }
-    const std::uint64_t L = detail::level_count(alg, data.size());
-    alg.prepare(data.size());
-    detail::bind_merge_exec(alg, hpu.cpu().pool(), opts);
-    sim::Device& dev = hpu.gpu();
-    ExecReport rep;
-    rep.trace = opts.trace;
-    if (opts.verify) {
-        verify::RunShape shape;
-        shape.kind = verify::RunShape::Kind::kGpu;
-        shape.include_transfers = include_transfers;
-        rep.verify = verify::verify_hybrid_run(alg, data.size(), hpu, shape);
-    }
-    const detail::ValCtx val = detail::validation_ctx(opts, rep);
-    const trace::SpanId run = detail::open_run(opts, alg.name(), "gpu", data.size());
-    const detail::SpanCtx tc{opts.trace, run, 0.0, trace::SpanAttrs::kNoLevel, opts.profile};
-    rep.cpu_busy += detail::host_pre_pass(alg, data, hpu.params().cpu.p, tc);
-    // The span clock serializes pre → ship-in → kernels → ship-out, which
-    // is exactly how rep.total adds up.
-    sim::Ticks clock = rep.cpu_busy;
-
-    // Functional runs materialize a real device buffer; the analytic path
-    // lets the hooks operate on the host span (data is dummy there) and
-    // skips the physical copies entirely.
-    std::optional<sim::DeviceBuffer<T>> buf;
-    std::vector<sim::BufferEvent> buf_events;
-    std::span<T> dspan = data;
-    const std::uint64_t xin_w0 = tc.wall_start();
-    if (opts.functional) {
-        buf.emplace(std::vector<T>(data.begin(), data.end()));
-        if (val.on()) buf->set_trace(&buf_events);
-        buf->copy_to_device();
-        dspan = buf->device();
-    }
-    if (include_transfers) {
-        const sim::Ticks x = hpu.transfer_time(data.size());
-        detail::trace_transfer(tc.shifted(clock), alg.name(), "xfer-in", data.size(),
-                               data.size() * sizeof(T), x, xin_w0);
-        rep.transfer += x;
-        clock += x;
-    }
-
-    if (opts.functional) {
-        const std::uint64_t hw0 = tc.wall_start();
-        sim::OpCounter hook_ops;
-        alg.before_gpu_levels(dspan, util::ipow(alg.a(), static_cast<std::uint32_t>(L - 1)),
-                              hook_ops);
-        const sim::Ticks t = detail::traced_hook(dev, hook_ops, alg.name(), "gpu-pre-hook",
-                                                 tc.shifted(clock), hw0);
-        rep.gpu_busy += t;
-        clock += t;
-    } else {
-        const sim::Ticks t = detail::traced_hook(dev, alg.analytic_gpu_hook_ops(data.size()),
-                                                 alg.name(), "gpu-hooks", tc.shifted(clock));
-        rep.gpu_busy += t;
-        clock += t;
-    }
-
-    {
-        const sim::Ticks t =
-            detail::gpu_leaves(dev, alg, dspan, opts.functional, val, tc.shifted(clock));
-        rep.gpu_busy += t;
-        clock += t;
-    }
-    for (std::uint64_t i = L; i-- > 0;) {
-        const std::uint64_t tasks = util::ipow(alg.a(), static_cast<std::uint32_t>(i));
-        if (opts.functional) {
-            sim::Ticks t =
-                detail::functional_gpu_level(dev, alg, dspan, tasks, val, tc.shifted(clock, i));
-            rep.gpu_busy += t;
-            clock += t;
-            const std::uint64_t hw0 = tc.wall_start();
-            sim::OpCounter flip;
-            alg.after_gpu_level(dspan, tasks, flip);
-            t = detail::traced_hook(dev, flip, alg.name(), "gpu-level-hook",
-                                    tc.shifted(clock), hw0);
-            rep.gpu_busy += t;
-            clock += t;
-        } else {
-            const sim::Ticks t = detail::analytic_gpu_level(dev, alg, data.size(), tasks, i,
-                                                            tc.shifted(clock, i));
-            rep.gpu_busy += t;
-            clock += t;
-        }
-        ++rep.levels_gpu;
-    }
-
-    if (opts.functional) {
-        const std::uint64_t hw0 = tc.wall_start();
-        sim::OpCounter post_ops;
-        alg.after_gpu_levels(dspan, 1, post_ops);
-        const sim::Ticks t = detail::traced_hook(dev, post_ops, alg.name(), "gpu-post-hook",
-                                                 tc.shifted(clock), hw0);
-        rep.gpu_busy += t;
-        clock += t;
-    }
-
-    const std::uint64_t xout_w0 = tc.wall_start();
-    if (opts.functional) buf->copy_to_host();
-    if (include_transfers) {
-        const sim::Ticks x = hpu.transfer_time(data.size());
-        detail::trace_transfer(tc.shifted(clock), alg.name(), "xfer-out", data.size(),
-                               data.size() * sizeof(T), x, xout_w0);
-        rep.transfer += x;
-        clock += x;
-    }
-    if (opts.functional) {
-        std::copy(buf->host_view().begin(), buf->host_view().end(), data.begin());
-        if (val.on()) {
-            analysis::lint_residency(buf_events, alg.name() + "/device-buffer", *val.report);
-        }
-    }
-    rep.total = rep.cpu_busy + rep.gpu_busy + rep.transfer;
-    detail::close_run(opts, run, rep.total);
-    detail::observe_run(opts, rep, run, hpu.params(), alg, hpu.cpu().pool());
-    return rep;
+    return run_plan(plan_gpu(alg, data.size(), hpu.params(), include_transfers), hpu.cpu(),
+                    &hpu.gpu(), alg, data, opts);
 }
 
 }  // namespace hpu::core

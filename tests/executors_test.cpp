@@ -1,6 +1,7 @@
 // Layer-2 executor tests: every executor must produce the same output as
 // std::sort / a plain reduction, and the analytic fast path must price
-// levels identically to functional execution for uniform-cost algorithms.
+// levels identically to functional execution for uniform-cost algorithms,
+// and analytic runs must not prepare (size or zero) any scratch.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -8,6 +9,8 @@
 #include "algos/binary_reduce.hpp"
 #include "algos/mergesort.hpp"
 #include "core/executors.hpp"
+#include "core/hybrid.hpp"
+#include "core/pipeline.hpp"
 #include "platforms/platforms.hpp"
 #include "util/rng.hpp"
 
@@ -186,6 +189,49 @@ TEST(Reports, FieldsAreConsistent) {
     EXPECT_DOUBLE_EQ(rep.total, rep.gpu_busy + rep.transfer);
     EXPECT_EQ(rep.levels_gpu, 10u);
     EXPECT_EQ(rep.levels_cpu, 0u);
+}
+
+/// Mergesort that counts how often an executor prepares its scratch.
+struct CountingSort final : algos::MergesortPlain<std::int32_t> {
+    mutable int prepares = 0;
+    void prepare(std::uint64_t n) const override {
+        ++prepares;
+        algos::MergesortPlain<std::int32_t>::prepare(n);
+    }
+};
+
+TEST(AnalyticMode, TouchesNoScratchOnAnyExecutor) {
+    const std::uint64_t n = 1 << 10;
+    for (const bool functional : {false, true}) {
+        for (int e = 0; e < 6; ++e) {
+            SCOPED_TRACE(::testing::Message() << "executor " << e << " functional " << functional);
+            sim::Hpu h(platforms::hpu1());
+            CountingSort alg;
+            auto data = random_input(n, 21);
+            ExecOptions opts;
+            opts.functional = functional;
+            const std::span<std::int32_t> span(data);
+            switch (e) {
+                case 0: run_sequential(h.cpu(), alg, span, opts); break;
+                case 1: run_multicore(h.cpu(), alg, span, opts); break;
+                case 2: run_gpu(h, alg, span, opts); break;
+                case 3: run_basic_hybrid(h, alg, span, opts); break;
+                case 4: {
+                    AdvancedOptions adv;
+                    adv.exec = opts;
+                    run_advanced_hybrid(h, alg, span, 0.3, 4, adv);
+                    break;
+                }
+                default: {
+                    PipelinedOptions pip;
+                    pip.exec = opts;
+                    run_pipelined_hybrid(h, alg, span, 0.3, 4, pip);
+                    break;
+                }
+            }
+            EXPECT_EQ(alg.prepares, functional ? 1 : 0);
+        }
+    }
 }
 
 }  // namespace

@@ -1,13 +1,18 @@
 // Hybrid scheduler tests: correctness of the basic and advanced schedulers
 // over randomized inputs and (α, y) grids, the two-transfer invariant of
-// §5.2, and agreement between the simulated schedule and the analytical
-// model at the model's operating point.
+// §5.2 (counted on the run's trace spans), the basic hybrid's CPU-only
+// fallback, and agreement between the simulated schedule and the
+// analytical model at the model's operating point.
 #include <gtest/gtest.h>
 
+#include <complex>
+#include <cstring>
 #include <numeric>
 
 #include "algos/binary_reduce.hpp"
+#include "algos/fft.hpp"
 #include "algos/mergesort.hpp"
+#include "algos/mergesort_blocked.hpp"
 #include "core/hybrid.hpp"
 #include "model/advanced.hpp"
 #include "platforms/platforms.hpp"
@@ -19,6 +24,21 @@ namespace {
 std::vector<std::int32_t> random_input(std::uint64_t n, std::uint64_t seed) {
     util::Rng rng(seed);
     return rng.int_vector(n, 0, static_cast<std::int64_t>(2 * n));
+}
+
+/// Link transfers of one traced run, by direction.
+struct TransferSpans {
+    std::size_t in = 0;
+    std::size_t out = 0;
+};
+
+TransferSpans count_transfers(const trace::TraceSession& ts) {
+    TransferSpans c;
+    for (const trace::Span& s : ts.spans()) {
+        if (s.kind != trace::SpanKind::kTransfer) continue;
+        ++(s.label.find("/xfer-in") != std::string::npos ? c.in : c.out);
+    }
+    return c;
 }
 
 TEST(BasicHybrid, SortsCorrectly) {
@@ -36,9 +56,12 @@ TEST(BasicHybrid, ExactlyOneRoundTrip) {
     sim::Hpu h(platforms::hpu1());
     algos::MergesortCoalesced<std::int32_t> alg;
     auto data = random_input(1 << 12, 2);
-    run_basic_hybrid(h, alg, std::span(data));
-    EXPECT_EQ(h.timeline().count(sim::EventKind::kTransferToGpu), 1u);
-    EXPECT_EQ(h.timeline().count(sim::EventKind::kTransferToCpu), 1u);
+    trace::TraceSession ts;
+    ExecOptions opts;
+    opts.trace = &ts;
+    run_basic_hybrid(h, alg, std::span(data), opts);
+    EXPECT_EQ(count_transfers(ts).in, 1u);
+    EXPECT_EQ(count_transfers(ts).out, 1u);
 }
 
 TEST(BasicHybrid, BeatsMulticoreAndGpuOnly) {
@@ -67,6 +90,56 @@ TEST(BasicHybrid, WeakGpuFallsBackToCpu) {
     EXPECT_EQ(data, expect);
     EXPECT_EQ(rep.levels_gpu, 0u);
     EXPECT_DOUBLE_EQ(rep.transfer, 0.0);
+}
+
+template <typename T>
+void expect_fallback_is_multicore(const LevelAlgorithm<T>& alg, const std::vector<T>& input) {
+    sim::HpuParams hw = platforms::hpu1();
+    hw.gpu.g = 1;
+    hw.gpu.gamma = 0.5;  // γ·g < p: the device never wins a level
+    for (const bool functional : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << alg.name() << " functional=" << functional);
+        sim::Hpu h(hw);
+        std::vector<T> basic_out = input, multi_out = input;
+        ExecOptions opts;
+        opts.functional = functional;
+        opts.validate = functional;
+        opts.verify = true;
+        opts.profile = opts.observe = false;
+        const ExecReport b = run_basic_hybrid(h, alg, std::span<T>(basic_out), opts);
+        const ExecReport m = run_multicore(h.cpu(), alg, std::span<T>(multi_out), opts);
+        ASSERT_EQ(basic_out.size(), multi_out.size());
+        EXPECT_EQ(std::memcmp(basic_out.data(), multi_out.data(), basic_out.size() * sizeof(T)),
+                  0);
+        for (const auto& [x, y] : {std::pair{b.total, m.total}, {b.cpu_busy, m.cpu_busy},
+                                  {b.gpu_busy, m.gpu_busy}, {b.transfer, m.transfer},
+                                  {b.finish, m.finish}, {b.alpha_effective, m.alpha_effective}}) {
+            EXPECT_EQ(std::memcmp(&x, &y, sizeof x), 0) << x << " vs " << y;
+        }
+        EXPECT_EQ(b.levels_cpu, m.levels_cpu);
+        EXPECT_EQ(b.levels_gpu, m.levels_gpu);
+        EXPECT_EQ(b.chunks, m.chunks);
+        EXPECT_EQ(b.verify.to_json(), m.verify.to_json());
+        EXPECT_EQ(b.analysis.summary(), m.analysis.summary());
+    }
+}
+
+// The CPU-only fallback runs the multicore plan itself — in particular the
+// host pre-pass (FFT's bit reversal) runs once, not twice.
+TEST(BasicHybrid, CpuOnlyFallbackIsBitIdenticalToMulticore) {
+    const std::uint64_t n = 1 << 10;
+    const auto ints = random_input(n, 13);
+    expect_fallback_is_multicore(algos::MergesortPlain<std::int32_t>(), ints);
+    expect_fallback_is_multicore(algos::MergesortCoalesced<std::int32_t>(), ints);
+    expect_fallback_is_multicore(algos::MergesortBlocked<std::int32_t>(4), ints);
+    expect_fallback_is_multicore(algos::make_sum<std::int32_t>(), ints);
+    expect_fallback_is_multicore(algos::make_max<std::int32_t>(), ints);
+    expect_fallback_is_multicore(algos::make_min<std::int32_t>(), ints);
+    std::vector<std::complex<double>> signal(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        signal[i] = {static_cast<double>(i % 17) - 8.0, static_cast<double>(i % 5)};
+    }
+    expect_fallback_is_multicore(algos::DcFft(), signal);
 }
 
 class AdvancedHybridGrid
@@ -107,11 +180,14 @@ TEST(AdvancedHybrid, ExactlyTwoTransfers) {
     sim::Hpu h(platforms::hpu1());
     algos::MergesortCoalesced<std::int32_t> alg;
     auto data = random_input(1 << 12, 7);
-    run_advanced_hybrid(h, alg, std::span(data), 0.2, 8);
+    trace::TraceSession ts;
+    AdvancedOptions adv;
+    adv.exec.trace = &ts;
+    run_advanced_hybrid(h, alg, std::span(data), 0.2, 8, adv);
     // §5.2: "we restrict the number of data transfer between cpu and gpu to
     // two points during the execution".
-    EXPECT_EQ(h.timeline().count(sim::EventKind::kTransferToGpu), 1u);
-    EXPECT_EQ(h.timeline().count(sim::EventKind::kTransferToCpu), 1u);
+    EXPECT_EQ(count_transfers(ts).in, 1u);
+    EXPECT_EQ(count_transfers(ts).out, 1u);
 }
 
 TEST(AdvancedHybrid, RejectsBadParameters) {

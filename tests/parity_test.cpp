@@ -145,20 +145,19 @@ TEST(Determinism, RepeatedRunsAreBitIdentical) {
     }
 }
 
-TEST(Determinism, TimelineMatchesReport) {
+TEST(Determinism, TransferSpansMatchReport) {
     sim::Hpu h(platforms::hpu1());
     algos::MergesortCoalesced<std::int32_t> alg;
     util::Rng rng(8);
     auto d = rng.int_vector(1 << 12, 0, 1 << 13);
-    const auto rep = run_advanced_hybrid(h, alg, std::span(d), 0.25, 8);
-    // The timeline's transfer totals equal the report's.
-    const auto& tl = h.timeline();
-    EXPECT_NEAR(tl.total(sim::EventKind::kTransferToGpu) +
-                    tl.total(sim::EventKind::kTransferToCpu),
-                rep.transfer, 1e-9);
-    // The last event ends at or before the report's total (the finish
-    // phase is the last recorded event).
-    EXPECT_LE(tl.span_end(), rep.total + 1e-6);
+    trace::TraceSession ts;
+    AdvancedOptions adv;
+    adv.exec.trace = &ts;
+    const auto rep = run_advanced_hybrid(h, alg, std::span(d), 0.25, 8, adv);
+    // The transfer spans' total equals the report's.
+    EXPECT_NEAR(ts.total(trace::SpanKind::kTransfer), rep.transfer, 1e-9);
+    // The last span ends at the report's total (the run root closes there).
+    EXPECT_LE(ts.span_end(), rep.total + 1e-6);
 }
 
 }  // namespace

@@ -345,9 +345,12 @@ std::uint64_t expected(const std::string& alg, const char* executor, bool functi
     return 0;
 }
 
+/// `pooled` also runs every cell across a pool and requires the same
+/// digest (off for the racy algorithm, whose pooled output is a real race).
 template <typename T>
 void sweep(const LevelAlgorithm<T>& alg, std::uint64_t base,
-           const std::function<std::vector<T>(std::uint64_t)>& make_input) {
+           const std::function<std::vector<T>(std::uint64_t)>& make_input,
+           bool pooled = true) {
     util::ThreadPool inline_pool(0);
     util::ThreadPool pool(2);
     for (const bool functional : {true, false}) {
@@ -356,7 +359,7 @@ void sweep(const LevelAlgorithm<T>& alg, std::uint64_t base,
             const std::uint64_t got_inline =
                 cell_digest(&inline_pool, e, alg, base, functional, make_input);
             const std::uint64_t got_pooled =
-                cell_digest(&pool, e, alg, base, functional, make_input);
+                pooled ? cell_digest(&pool, e, alg, base, functional, make_input) : got_inline;
             char row[160];
             std::snprintf(row, sizeof row, "    {\"%s\", \"%s\", %s, 0x%016llxull},",
                           alg.name().c_str(), kExecutors[e], functional ? "true" : "false",
@@ -415,7 +418,7 @@ TEST(PlanGolden, Reductions) {
 
 TEST(PlanGolden, Fft) { sweep<std::complex<double>>(algos::DcFft(), 1, complex_input); }
 
-TEST(PlanGolden, RacyFindings) { sweep<std::int32_t>(RacyAlg(), 1, int_input); }
+TEST(PlanGolden, RacyFindings) { sweep<std::int32_t>(RacyAlg(), 1, int_input, false); }
 
 /// Re-emits one committed example trace exactly as `run_diff --emit` wrote
 /// it (analytic mergesort-coalesced, n = 2^20, HPU1, model-optimal (α, y)).

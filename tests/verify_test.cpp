@@ -348,20 +348,19 @@ TEST(Certificate, PipelinedRunAttachesJsonCertificate) {
     EXPECT_NE(rep.verify.summary().find("certified"), std::string::npos);
 }
 
-TEST(Certificate, ReconstructedPlansPassForEveryExecutorShape) {
+TEST(Certificate, EveryExecutorPlanCertifies) {
     const std::uint64_t n = 1024;
     sim::Hpu h(platforms::hpu1());
     algos::MergesortPlain<std::int32_t> alg;
-    const VerifyReport seq = verify_cpu_run(alg, n, h.cpu(), "sequential");
-    EXPECT_TRUE(seq.certified()) << seq.summary();
-    for (const RunShape::Kind kind :
-         {RunShape::Kind::kGpu, RunShape::Kind::kBasic, RunShape::Kind::kAdvanced,
-          RunShape::Kind::kPipelined}) {
-        RunShape shape;
-        shape.kind = kind;
-        shape.alpha = 0.25;
-        shape.y = 3;
-        const VerifyReport rep = verify_hybrid_run(alg, n, h, shape);
+    const std::vector<core::Plan> plans = {
+        core::plan_cpu(alg, n, h.params().cpu, "sequential"),
+        core::plan_gpu(alg, n, h.params(), /*include_transfers=*/true),
+        core::plan_basic(alg, n, h.params()),
+        core::plan_advanced(alg, n, h.params(), 0.25, 3, 0),
+        core::plan_pipelined(alg, n, h.params(), h.gpu(), 0.25, 3, 4, 0),
+    };
+    for (const core::Plan& plan : plans) {
+        const VerifyReport rep = core::detail::verify_plan(plan, h.cpu(), &h.gpu(), alg);
         EXPECT_TRUE(rep.certified()) << rep.summary();
         EXPECT_GT(rep.checks_passed, 0u) << rep.summary();
     }
