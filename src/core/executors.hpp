@@ -585,9 +585,11 @@ public:
     void run() {
         run_ = open_run(opts_, name_, plan_.executor, plan_.n);
         std::vector<sim::Ticks> block_end(plan_.steps.size(), 0.0);
-        sim::Ticks prev_close = 0.0, sync = 0.0;
-        bool joined = false;
-        for (const Phase& ph : plan_.phases) {
+        sim::Ticks prev_close = 0.0, sync = 0.0;  // sync: latest end of the kPre phases
+        for (std::size_t f = 0; f < plan_.phases.size(); ++f) {
+            const Phase& ph = plan_.phases[f];
+            const std::size_t last =
+                f + 1 < plan_.phases.size() ? plan_.phases[f + 1].first : plan_.steps.size();
             const sim::Ticks origin = ph.origin == Origin::kPre       ? pre_
                                       : ph.origin == Origin::kPrevClose ? prev_close
                                       : ph.origin == Origin::kSync      ? pre_ + sync
@@ -609,7 +611,7 @@ public:
                 tally(head->tally, charge);
                 head = nullptr;
             };
-            for (std::size_t i = ph.first; i < ph.last; ++i) {
+            for (std::size_t i = ph.first; i < last; ++i) {
                 const Step& s = plan_.steps[i];
                 if (ph.serial || s.block) {
                     close_block();
@@ -627,11 +629,13 @@ public:
                     }
                 }
                 if (s.mode == (fn_ ? StepMode::kAnalytic : StepMode::kFunctional)) continue;
-                const sim::Ticks at = ph.clock == Clock::kShifted  ? (origin + start) + k
-                                      : ph.clock == Clock::kNested ? origin + (start + k)
-                                                                   : origin + ((start + k) - origin);
-                const SpanCtx tc{priced_ == nullptr ? opts_.trace : nullptr, parent, at,
-                                 s.kind == StepKind::kLevel ? s.level : trace::SpanAttrs::kNoLevel,
+                const sim::Ticks at =
+                    ph.clock == Clock::kShifted  ? (origin + start) + k
+                    : ph.clock == Clock::kNested ? origin + (start + k)
+                                                 : origin + ((start + k) - origin);
+                const std::uint64_t level =
+                    s.kind == StepKind::kLevel ? s.level : trace::SpanAttrs::kNoLevel;
+                const SpanCtx tc{priced_ == nullptr ? opts_.trace : nullptr, parent, at, level,
                                  opts_.profile};
                 sim::Ticks advance = 0.0;
                 const sim::Ticks time = execute(s, tc, start + k, advance);
@@ -642,10 +646,7 @@ public:
             close_block();
             const sim::Ticks close = ph.clock == Clock::kAbsolute ? end : origin + end;
             if (span != trace::kNoSpan) opts_.trace->close(span, close);
-            if (ph.origin == Origin::kPre) {
-                sync = joined ? std::max(sync, end) : end;
-                joined = true;
-            }
+            if (ph.origin == Origin::kPre) sync = std::max(sync, end);
             prev_close = close;
             if (released_) release_device();
         }
@@ -663,13 +664,9 @@ public:
 
 private:
     void tally(Tally t, sim::Ticks x) {
-        switch (t) {
-            case Tally::kCpu: rep_.cpu_busy += x; break;
-            case Tally::kGpu: rep_.gpu_busy += x; break;
-            case Tally::kLink: rep_.transfer += x; break;
-            case Tally::kFinish: rep_.finish += x; break;
-            case Tally::kNone: break;
-        }
+        sim::Ticks* field[] = {nullptr, &rep_.cpu_busy, &rep_.gpu_busy, &rep_.transfer,
+                               &rep_.finish};
+        if (sim::Ticks* f = field[static_cast<int>(t)]) *f += x;
     }
 
     std::span<T> host(const Slice& s) const { return data_.subspan(s.offset, s.words); }
@@ -836,32 +833,33 @@ hpu::verify::VerifyReport verify_plan(const Plan& plan, sim::CpuUnit& cpu, sim::
     sp.executor = plan.executor;
     for (std::size_t i = 0; i < plan.steps.size(); ++i) {
         const Step& s = plan.steps[i];
-        const PricedStep& at = priced[i];
-        if (!at.ran || s.kind == StepKind::kPrePass || s.kind == StepKind::kHook) continue;
+        const bool leaves = s.kind == StepKind::kLeaves;
+        if (!priced[i].ran || !s.timed) continue;
+        if (s.kind == StepKind::kPrePass || s.kind == StepKind::kHook) continue;
         const bool gpu = s.unit == trace::Unit::kGpu;
         PlanEvent e;
         e.unit = gpu ? PlanEvent::Unit::kGpu : PlanEvent::Unit::kCpu;
-        e.start = at.start;
-        e.duration = at.time;
+        e.start = priced[i].start;
+        e.duration = priced[i].time;
         e.offset = s.slice.offset;
         e.words = s.slice.words;
         if (s.kind == StepKind::kTransfer) {
-            if (!s.timed) continue;
             e.unit = PlanEvent::Unit::kLink;
             e.kind = s.to_device ? PlanEvent::Kind::kXferIn : PlanEvent::Kind::kXferOut;
             e.label = s.what;
-        } else if (s.kind == StepKind::kLeaves) {
-            e.kind = PlanEvent::Kind::kLeaves;
-            e.tasks = s.slice.words / alg.base_size();
-            if (e.tasks == 0) continue;
-            e.work = gpu ? price_leaves(*dev, alg, e.tasks).work : price_leaves(cpu, alg, e.tasks).work;
-            e.label = std::string(gpu ? "gpu" : "cpu") + "-leaves[" + std::to_string(e.tasks) + "]";
         } else {
-            e.tasks = s.slice.words / plan.task_size(s.level);
-            e.words = e.tasks * plan.task_size(s.level);
-            e.work = gpu ? price_level(*dev, alg, plan.n, e.tasks, s.level).ops
-                         : price_level(cpu, alg, plan.n, e.tasks, s.level).work;
-            e.label = std::string(gpu ? "gpu" : "cpu") + "-level[" + std::to_string(e.tasks) + "]";
+            const std::uint64_t size = leaves ? alg.base_size() : plan.task_size(s.level);
+            e.kind = leaves ? PlanEvent::Kind::kLeaves : PlanEvent::Kind::kLevel;
+            e.tasks = s.slice.words / size;
+            if (e.tasks == 0) continue;
+            if (!leaves) e.words = e.tasks * size;
+            const Price pr = leaves ? (gpu ? price_leaves(*dev, alg, e.tasks)
+                                           : price_leaves(cpu, alg, e.tasks))
+                                    : (gpu ? price_level(*dev, alg, plan.n, e.tasks, s.level)
+                                           : price_level(cpu, alg, plan.n, e.tasks, s.level));
+            e.work = gpu && !leaves ? pr.ops : pr.work;  // device levels: device-priced ops
+            e.label = std::string(gpu ? "gpu" : "cpu") + (leaves ? "-leaves[" : "-level[") +
+                      std::to_string(e.tasks) + "]";
         }
         sp.events.push_back(std::move(e));
     }

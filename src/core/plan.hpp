@@ -157,8 +157,7 @@ struct Phase {
     Clock clock = Clock::kShifted;
     /// Every step is its own block, starting where the previous one ended.
     bool serial = false;
-    std::size_t first = 0;  ///< step range [first, last)
-    std::size_t last = 0;
+    std::size_t first = 0;  ///< first step; the phase runs to the next one's first
 };
 
 struct Plan {
@@ -252,8 +251,7 @@ namespace plan_detail {
 
 inline void open_phase(Plan& p, const char* label, trace::Unit unit, Origin origin, Clock clock,
                        bool serial = false) {
-    if (!p.phases.empty()) p.phases.back().last = p.steps.size();
-    p.phases.push_back({label, unit, origin, clock, serial, p.steps.size(), p.steps.size()});
+    p.phases.push_back({label, unit, origin, clock, serial, p.steps.size()});
 }
 
 /// Marks the steps emitted since `first` as one block; returns its first
@@ -393,7 +391,6 @@ inline void split_cpu_phases(Plan& p, std::uint64_t L, std::uint64_t y, const Sp
         cpu_levels(p, {0, p.n}, sp.s - 1, 0);
         close_block(p, first, -1, Tally::kFinish);
     }
-    p.phases.back().last = p.steps.size();
     p.total = Total::kLastClose;
     p.alpha_effective = sp.alpha_effective;
 }
@@ -415,7 +412,6 @@ Plan plan_cpu(const LevelAlgorithm<T>& alg, std::uint64_t n, const sim::CpuParam
     d::leaves(p, trace::Unit::kCpu, {0, n});
     d::cpu_levels(p, {0, n}, L - 1, 0);
     d::close_block(p, first, -1, Tally::kCpu);
-    p.phases.back().last = p.steps.size();
     return p;
 }
 
@@ -436,7 +432,6 @@ Plan plan_gpu(const LevelAlgorithm<T>& alg, std::uint64_t n, const sim::HpuParam
     d::gpu_pass(p, {0, n}, L - 1, 0, /*lump=*/true);
     d::close_block(p, first, -1, Tally::kGpu);
     d::transfer(p, {0, n}, false, "xfer-out", -1, 0, include_transfers);
-    p.phases.back().last = p.steps.size();
     return p;
 }
 
@@ -470,7 +465,6 @@ Plan plan_basic(const LevelAlgorithm<T>& alg, std::uint64_t n, const sim::HpuPar
         d::cpu_levels(p, {0, n}, gpu_top - 1, 0);
         d::close_block(p, first, -1, Tally::kCpu);
     }
-    p.phases.back().last = p.steps.size();
     return p;
 }
 

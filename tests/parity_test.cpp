@@ -101,7 +101,7 @@ TEST_P(AdvancedInvariants, ReportDecompositionIsConsistent) {
     std::vector<std::int32_t> dummy(n);
     const auto rep = run_advanced_hybrid(h, alg, std::span(dummy), alpha, y, adv);
 
-    // The sync point dominates both unit timelines; the finish phase and
+    // The sync point dominates both unit clocks; the finish phase and
     // transfers are non-negative; the total covers everything.
     EXPECT_GE(rep.total, rep.cpu_busy);
     EXPECT_GE(rep.total, rep.gpu_busy + rep.transfer);
