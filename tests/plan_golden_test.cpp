@@ -12,7 +12,15 @@
 // defaults cannot move a digest. On a mismatch the test prints the
 // computed table row, ready to paste.
 //
-// The second test re-emits the committed example traces
+// The irregular sweep does the same for the dynamic-tree engine: quickhull,
+// closest-pair and Karatsuba at non-power-of-two sizes × the six executors
+// × {functional with validate and verify, analytic} × two machines ×
+// {inline, pooled}, and asserts that its configurations reach every branch
+// of the per-level policy (residency switches both ways, split levels,
+// pipelined levels of K >= 3 chunks, gpu with and without boundary
+// transfers).
+//
+// The last test re-emits the committed example traces
 // (bench/traces/{basic,advanced}_hpu1_lg20.json) in process and requires
 // obs::diff_traces(...).identical(0.0) against the committed files.
 #include <gtest/gtest.h>
@@ -21,15 +29,20 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <cmath>
 #include <functional>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "algos/binary_reduce.hpp"
+#include "algos/closest_pair.hpp"
 #include "algos/fft.hpp"
 #include "algos/mergesort.hpp"
+#include "algos/karatsuba.hpp"
 #include "algos/mergesort_blocked.hpp"
+#include "algos/quickhull.hpp"
 #include "core/hybrid.hpp"
 #include "core/pipeline.hpp"
 #include "model/advanced.hpp"
@@ -419,6 +432,256 @@ TEST(PlanGolden, Reductions) {
 TEST(PlanGolden, Fft) { sweep<std::complex<double>>(algos::DcFft(), 1, complex_input); }
 
 TEST(PlanGolden, RacyFindings) { sweep<std::int32_t>(RacyAlg(), 1, int_input, false); }
+
+// ------------------------------------------------------ irregular engine
+
+/// Machines of the irregular sweep: HPU1 keeps most levels on the CPU; a
+/// device-friendly machine (cheap link, fast lanes) splits levels, moves
+/// the basic hybrid's frontier onto the device and back, and pipelines
+/// wide levels in several chunks.
+std::vector<Config> irregular_configs() {
+    sim::HpuParams friendly = platforms::hpu1();
+    friendly.name = "gpu-friendly";
+    friendly.cpu.p = 4;
+    friendly.cpu.contention = 0.0;
+    friendly.gpu.g = 1024;
+    friendly.gpu.gamma = 1.0;
+    friendly.gpu.launch_overhead = 0.0;
+    friendly.link.lambda = 5.0;
+    friendly.link.delta = 0.01;
+    // alpha and y are ignored on the dynamic path (the split is re-derived
+    // per level); chunks = 4 caps the pipelined K.
+    return {Config{platforms::hpu1(), 0, 0.5, 1, 4}, Config{friendly, 0, 0.5, 1, 4}};
+}
+
+/// Which branches of the per-level policy a sweep reached.
+struct Coverage {
+    std::uint64_t switch_in = 0;     ///< basic: frontier moved onto the device mid-tree
+    std::uint64_t switch_out = 0;    ///< basic: frontier moved back to the host mid-tree
+    std::uint64_t split_levels = 0;  ///< advanced: a level on both units
+    std::uint64_t max_chunks = 0;    ///< pipelined: largest K of any level
+    std::uint64_t gpu_boundary = 0;  ///< gpu: boundary transfers under the run root
+    std::uint64_t gpu_bare = 0;      ///< gpu without transfers: runs with none
+};
+
+bool ends_with(const std::string& s, const char* suffix) {
+    const std::size_t n = std::strlen(suffix);
+    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
+}
+
+/// Transfer spans labelled `what` directly under a sweep phase
+/// (expand/combine) of `ts`, or under a run root when `roots` is set.
+std::uint64_t count_transfers(const trace::TraceSession& ts, const char* what, bool roots) {
+    std::uint64_t c = 0;
+    for (const trace::Span& s : ts.spans()) {
+        if (s.kind != trace::SpanKind::kTransfer || !ends_with(s.label, what)) continue;
+        const trace::Span& parent = ts.span(s.parent);
+        const bool sweep = parent.kind == trace::SpanKind::kPhase &&
+                           (ends_with(parent.label, "/expand") ||
+                            ends_with(parent.label, "/combine"));
+        if (roots ? parent.kind == trace::SpanKind::kRun : sweep) ++c;
+    }
+    return c;
+}
+
+/// Levels (same sweep phase, same level index) with both a CPU and a GPU span.
+std::uint64_t count_split_levels(const trace::TraceSession& ts) {
+    std::uint64_t c = 0;
+    for (const trace::Span& a : ts.spans()) {
+        if (a.kind != trace::SpanKind::kLevel || a.unit != trace::Unit::kCpu) continue;
+        for (const trace::Span& b : ts.spans()) {
+            if (b.kind == trace::SpanKind::kLevel && b.unit == trace::Unit::kGpu &&
+                b.parent == a.parent && b.attrs.level == a.attrs.level) {
+                ++c;
+                break;
+            }
+        }
+    }
+    return c;
+}
+
+template <typename T>
+std::uint64_t irregular_cell(util::ThreadPool* pool, int executor, const LevelAlgorithm<T>& alg,
+                             bool functional, const std::vector<T>& input, Coverage& cov) {
+    Digest d;
+    for (const Config& c : irregular_configs()) {
+        std::vector<T> data = input;
+        sim::Hpu h(c.hw, pool);
+        trace::TraceSession ts;
+        const ExecOptions opts = explicit_options(functional, &ts);
+        switch (executor) {
+            case 0: absorb(d, run_sequential(h.cpu(), alg, std::span<T>(data), opts)); break;
+            case 1: absorb(d, run_multicore(h.cpu(), alg, std::span<T>(data), opts)); break;
+            case 2: absorb(d, run_gpu(h, alg, std::span<T>(data), opts)); break;
+            case 3: absorb(d, run_basic_hybrid(h, alg, std::span<T>(data), opts)); break;
+            case 4: {
+                AdvancedOptions adv;
+                adv.split_tasks = 0;
+                adv.exec = opts;
+                absorb(d, run_advanced_hybrid(h, alg, std::span<T>(data), c.alpha, c.y, adv));
+                break;
+            }
+            default: {
+                PipelinedOptions pip;
+                pip.chunks = c.chunks;
+                pip.split_tasks = 0;
+                pip.exec = opts;
+                const ExecReport r =
+                    run_pipelined_hybrid(h, alg, std::span<T>(data), c.alpha, c.y, pip);
+                cov.max_chunks = std::max(cov.max_chunks, r.chunks);
+                absorb(d, r);
+                break;
+            }
+        }
+        if (executor == 2) {
+            cov.gpu_boundary += count_transfers(ts, "xfer-in", true) > 0 ? 1 : 0;
+            trace::TraceSession bare;
+            std::vector<T> again = input;
+            const ExecReport r = run_gpu(h, alg, std::span<T>(again),
+                                         explicit_options(functional, &bare),
+                                         /*include_transfers=*/false);
+            cov.gpu_bare += count_transfers(bare, "xfer-in", true) == 0 ? 1 : 0;
+            absorb(d, r);
+            absorb(d, bare);
+            d.bytes(again.data(), again.size() * sizeof(T));
+        }
+        if (executor == 3) {
+            cov.switch_in += count_transfers(ts, "xfer-in", false);
+            cov.switch_out += count_transfers(ts, "xfer-out", false);
+        }
+        if (executor == 4) cov.split_levels += count_split_levels(ts);
+        absorb(d, ts);
+        d.bytes(data.data(), data.size() * sizeof(T));
+    }
+    return d.value();
+}
+
+// Captured from the hand-written irregular engine (run_level_functional /
+// run_level_analytic) before it became a per-level planner over the
+// core::Plan interpreter.
+constexpr Golden kIrregularGolden[] = {
+    {"quickhull", "sequential", true, 0xd0ed18fe7071c5bdull},
+    {"quickhull", "multicore", true, 0x52b91ad6986ad589ull},
+    {"quickhull", "gpu", true, 0xd6c9b07798f04050ull},
+    {"quickhull", "basic", true, 0xde2c150e16446819ull},
+    {"quickhull", "advanced", true, 0xa5e34a2196cacaddull},
+    {"quickhull", "pipelined", true, 0x288ecd1e0d637832ull},
+    {"quickhull", "sequential", false, 0x3027c5dd6f8055a9ull},
+    {"quickhull", "multicore", false, 0xe72878e3fd9375d5ull},
+    {"quickhull", "gpu", false, 0xa5deb2b204f97d8aull},
+    {"quickhull", "basic", false, 0xe74ca7a46772d016ull},
+    {"quickhull", "advanced", false, 0xf42ca27c7adffc65ull},
+    {"quickhull", "pipelined", false, 0xff8fc5147b0c057cull},
+    {"closest-pair", "sequential", true, 0x0b8e2a2f82e48d55ull},
+    {"closest-pair", "multicore", true, 0x9875f85cc48623f1ull},
+    {"closest-pair", "gpu", true, 0x0c17195656107df0ull},
+    {"closest-pair", "basic", true, 0xfeb9cf995f0375bbull},
+    {"closest-pair", "advanced", true, 0x3178ed016e1d177aull},
+    {"closest-pair", "pipelined", true, 0xb526471cc9a9a8b5ull},
+    {"closest-pair", "sequential", false, 0xaf47760b18851d47ull},
+    {"closest-pair", "multicore", false, 0x5240adddbee85b95ull},
+    {"closest-pair", "gpu", false, 0x3cc0b693044d6c28ull},
+    {"closest-pair", "basic", false, 0x797fbe7b677f2cfeull},
+    {"closest-pair", "advanced", false, 0x23e2d6f0723f5c2eull},
+    {"closest-pair", "pipelined", false, 0xca00556065038ffeull},
+    {"karatsuba", "sequential", true, 0xc0277a923d9c745dull},
+    {"karatsuba", "multicore", true, 0xcd1fc62bdb395a3dull},
+    {"karatsuba", "gpu", true, 0x29390ac607758b5bull},
+    {"karatsuba", "basic", true, 0x90349a523813be56ull},
+    {"karatsuba", "advanced", true, 0x56f9dc12611c1c18ull},
+    {"karatsuba", "pipelined", true, 0x5382a3716dd7393full},
+    {"karatsuba", "sequential", false, 0xd0ce130825b7c859ull},
+    {"karatsuba", "multicore", false, 0x16a1b4e8597f788full},
+    {"karatsuba", "gpu", false, 0x7a8442d380d83cd8ull},
+    {"karatsuba", "basic", false, 0x3d441ab85d3dcebdull},
+    {"karatsuba", "advanced", false, 0xf6e29910a2bc4dc8ull},
+    {"karatsuba", "pipelined", false, 0x18db9ac67f9db674ull},
+};
+
+std::uint64_t irregular_expected(const std::string& alg, const char* executor, bool functional) {
+    for (const Golden& g : kIrregularGolden) {
+        if (alg == g.alg && std::string(executor) == g.executor && functional == g.functional) {
+            return g.digest;
+        }
+    }
+    return 0;
+}
+
+/// Sweeps one irregular algorithm; `cov[functional]` collects the branches
+/// its inline runs reached.
+template <typename T>
+void irregular_sweep(const LevelAlgorithm<T>& alg, const std::vector<T>& input,
+                     Coverage (&cov)[2]) {
+    util::ThreadPool inline_pool(0);
+    util::ThreadPool pool(2);
+    for (const bool functional : {true, false}) {
+        for (int e = 0; e < 6; ++e) {
+            const std::uint64_t got_inline =
+                irregular_cell(&inline_pool, e, alg, functional, input, cov[functional]);
+            Coverage ignored;
+            const std::uint64_t got_pooled =
+                irregular_cell(&pool, e, alg, functional, input, ignored);
+            char row[160];
+            std::snprintf(row, sizeof row, "    {\"%s\", \"%s\", %s, 0x%016llxull},",
+                          alg.name().c_str(), kExecutors[e], functional ? "true" : "false",
+                          static_cast<unsigned long long>(got_inline));
+            EXPECT_EQ(got_inline, irregular_expected(alg.name(), kExecutors[e], functional))
+                << row;
+            EXPECT_EQ(got_pooled, got_inline) << "pooled run differs: " << row;
+        }
+    }
+}
+
+/// `n` integer points on a thin ring: a hull of many vertices, so the
+/// quickhull tree is deep and its middle levels wide.
+std::vector<algos::Pt> ring_input(std::uint64_t n) {
+    std::mt19937_64 rng(0x5eed0c0ffeeull);
+    std::vector<algos::Pt> pts(n);
+    for (auto& p : pts) {
+        const double theta = 6.283185307179586 * static_cast<double>(rng() >> 11) * 0x1.0p-53;
+        const double r = 100000.0 - static_cast<double>(rng() % 40);
+        p.x = std::llround(r * std::cos(theta));
+        p.y = std::llround(r * std::sin(theta));
+    }
+    return pts;
+}
+
+std::vector<algos::Pt> grid_input(std::uint64_t n) {
+    std::mt19937_64 rng(0x0dd5eedull);
+    std::vector<algos::Pt> pts(n);
+    for (auto& p : pts) {
+        p.x = static_cast<std::int64_t>(rng() % 4096);
+        p.y = static_cast<std::int64_t>(rng() % 4096);
+    }
+    return pts;
+}
+
+std::vector<std::int64_t> operand_input(std::uint64_t half) {
+    std::mt19937_64 rng(0xca4a75ull);
+    std::vector<std::int64_t> v(2 * half);
+    for (auto& x : v) x = static_cast<std::int64_t>(rng() % 201) - 100;
+    return v;
+}
+
+TEST(PlanGolden, IrregularEngine) {
+    Coverage cov[2];
+    irregular_sweep(algos::Quickhull(), ring_input(1021), cov);
+    irregular_sweep(algos::ClosestPair(), grid_input(999), cov);
+    irregular_sweep(algos::KaratsubaArray(), operand_input(163), cov);
+    // Every branch of the per-level policy, in both modes: a later config
+    // change cannot silently drop coverage.
+    for (const bool functional : {true, false}) {
+        SCOPED_TRACE(functional ? "functional" : "analytic");
+        const Coverage& c = cov[functional];
+        EXPECT_GT(c.switch_in, 0u) << "no basic-hybrid residency switch onto the device";
+        EXPECT_GT(c.switch_out, 0u) << "no basic-hybrid residency switch back to the host";
+        EXPECT_GT(c.split_levels, 0u) << "no advanced-hybrid level split across both units";
+        EXPECT_GE(c.max_chunks, 3u) << "no pipelined level of K >= 3 chunks";
+        // Each of the three algorithms on each machine.
+        EXPECT_EQ(c.gpu_boundary, 3 * irregular_configs().size()) << "gpu boundary transfers";
+        EXPECT_EQ(c.gpu_bare, 3 * irregular_configs().size()) << "gpu without transfers";
+    }
+}
 
 /// Re-emits one committed example trace exactly as `run_diff --emit` wrote
 /// it (analytic mergesort-coalesced, n = 2^20, HPU1, model-optimal (α, y)).
