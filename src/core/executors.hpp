@@ -219,25 +219,6 @@ void bind_merge_exec(const LevelAlgorithm<T>& alg, util::ThreadPool* pool,
     alg.bind_exec(ex);
 }
 
-/// Race-checks one functional launch: launches whose phase the static pass
-/// certified are checked for conformance against the declared footprint
-/// (O(descriptors) per item); everything else goes through the exact
-/// word-concretizing detector. Both paths share counter and budget
-/// semantics, so a clean run's AnalysisReport is byte-identical either way.
-template <typename T>
-void check_launch(const LevelAlgorithm<T>& alg, verify::Phase phase,
-                  const std::vector<sim::ItemAccessLog>& logs, std::uint64_t wave_width,
-                  std::uint64_t task_size, const std::string& label, const ValCtx& val) {
-    if (val.proven(phase)) {
-        if (auto fp = alg.footprint(verify::FootprintQuery{phase}); fp.has_value()) {
-            verify::check_conformance(*fp, logs, task_size, wave_width, label, *val.report,
-                                      val.race);
-            return;
-        }
-    }
-    analysis::detect_races(logs, wave_width, label, *val.report, val.race);
-}
-
 /// Where a helper records its trace spans: the session, the parent span,
 /// the virtual-clock tick the span starts at, and (for levels) the global
 /// level index. A default-constructed context means "tracing off".
@@ -249,11 +230,6 @@ struct SpanCtx {
     bool profile = false;  ///< stamp wall time onto recorded spans
 
     bool on() const noexcept { return session != nullptr; }
-
-    /// Same sink/parent, shifted clock (and optionally a level index).
-    SpanCtx shifted(sim::Ticks by, std::uint64_t lvl = trace::SpanAttrs::kNoLevel) const {
-        return SpanCtx{session, parent, at + by, lvl, profile};
-    }
 
     /// now_ns() when profiling this span tree, else 0 ("not profiled") —
     /// the token annotate_wall() later turns into a wall stamp.
@@ -356,181 +332,23 @@ inline trace::SpanId trace_analytic_level(const SpanCtx& tc, const std::string& 
                               tc.parent);
 }
 
-/// Functional CPU sweep over `region`: one tree level of `tasks` tasks, or
-/// (leaves) its base cases. With validation on, task access sets are
-/// recorded and race-checked.
-template <typename T>
-sim::Ticks functional_cpu_sweep(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg,
-                                std::span<T> region, std::uint64_t tasks, bool leaves,
-                                const ExecOptions& opts, const ValCtx& val, const SpanCtx& tc) {
-    const std::uint64_t w0 = tc.wall_start();
-    const char* phase = leaves ? "cpu-leaves" : "cpu-level";
-    std::vector<sim::ItemAccessLog> logs(val.on() ? tasks : 0);
-    auto body = [&](std::uint64_t j, sim::OpCounter& ops) {
-        if (val.on()) ops.trace = &logs[j];
-        if (leaves) {
-            alg.run_leaf(region, tasks, j, ops);
-        } else {
-            alg.run_task(region, tasks, j, ops);
-        }
-    };
-    const sim::LevelResult r =
-        leaves ? cpu.run_level(tasks, body)
-               : cpu.run_level(tasks, body, alg.level_working_set_bytes(region.size()),
-                               opts.order, alg.intra_task_parallel());
-    if (val.on()) {
-        check_launch(alg, leaves ? verify::Phase::kLeaf : verify::Phase::kCpuTask, logs,
-                     cpu.params().p, leaves ? alg.base_size() : region.size() / tasks,
-                     launch_label(alg.name(), phase, tasks), val);
-    }
-    if (tc.on()) {
-        annotate_wall(tc, trace_cpu_level(tc, alg.name(), phase, r,
-                                          leaves ? trace::SpanKind::kLeaves
-                                                 : trace::SpanKind::kLevel),
-                      w0);
-    }
-    return r.time;
-}
-
-/// Functional device sweep over `view` as one kernel of `tasks` items (a
-/// level, or its base cases). With validation on, the launch is
-/// race-checked and a level is re-executed in a permuted item order to
-/// catch order-dependent kernels the declared access sets miss.
-template <typename T>
-sim::Ticks functional_gpu_sweep(sim::Device& dev, const LevelAlgorithm<T>& alg,
-                                std::span<T> view, std::uint64_t tasks, bool leaves,
-                                const ValCtx& val, const SpanCtx& tc) {
-    const std::uint64_t w0 = tc.wall_start();
-    const char* phase = leaves ? "gpu-leaves" : "gpu-level";
-    std::vector<sim::WaveTrace> waves;
-    WaveTraceGuard guard(dev, tc.on() ? &waves : nullptr);
-    std::vector<sim::ItemAccessLog> logs(val.on() ? tasks : 0);
-    std::vector<T> before;
-    if (val.on() && !leaves) before.assign(view.begin(), view.end());
-    auto body = [&](sim::WorkItem& wi) {
-        if (val.on()) wi.ops().trace = &logs[wi.global_id()];
-        if (leaves) {
-            alg.run_leaf(view, tasks, wi.global_id(), wi.ops());
-        } else {
-            alg.run_device_task(view, tasks, wi.global_id(), wi.ops());
-        }
-    };
-    const sim::LaunchResult r =
-        leaves ? dev.launch(tasks, body) : dev.launch(tasks, body, alg.intra_task_parallel());
-    if (val.on()) {
-        const std::string label = launch_label(alg.name(), phase, tasks);
-        check_launch(alg, leaves ? verify::Phase::kLeaf : verify::Phase::kDeviceTask, logs,
-                     dev.params().g, leaves ? alg.base_size() : view.size() / tasks, label,
-                     val);
-        if (!leaves) {
-            const std::vector<T> after(view.begin(), view.end());
-            auto finding = analysis::check_schedule_independence(
-                view, std::span<const T>(before), std::span<const T>(after), tasks,
-                [&](std::uint64_t j) {
-                    sim::OpCounter throwaway;
-                    alg.run_device_task(view, tasks, j, throwaway);
-                },
-                /*seed=*/tasks, label);
-            if (finding) val.report->add(std::move(*finding));
-        }
-    }
-    if (tc.on()) {
-        annotate_wall(tc,
-                      trace_gpu_launch(tc, alg.name(), phase, dev, r, tasks, waves,
-                                       leaves ? trace::SpanKind::kLeaves
-                                              : trace::SpanKind::kLevel),
-                      w0);
-    }
-    return r.time;
-}
-
-/// hook_time plus an optional kHook span (skipped when the hook charged
-/// nothing — most algorithms have empty hooks). `wall0` is a wall_start()
-/// token taken before the hook body executed; 0 = not profiled.
-inline sim::Ticks traced_hook(const sim::Device& dev, const sim::OpCounter& ops,
-                              const std::string& name, const char* what, const SpanCtx& tc,
-                              std::uint64_t wall0 = 0) {
-    const sim::Ticks t = hook_time(dev, ops);
+/// Prices a host pass as p-way parallel CPU work and records its kHook
+/// span (skipped when the pass charged nothing). `w0` is a wall_start()
+/// token taken before the pass ran.
+inline sim::Ticks charge_host_pass(const sim::OpCounter& ops, std::size_t p,
+                                   const std::string& name, const char* what, const SpanCtx& tc,
+                                   std::uint64_t w0) {
+    const sim::Ticks t = static_cast<sim::Ticks>(ops.cpu_ops()) / static_cast<double>(p);
     if (tc.on() && t > 0.0) {
         trace::SpanAttrs a;
-        a.ops = ops.gpu_ops(dev.params().strided_penalty);
-        a.work = static_cast<double>(ops.cpu_ops());
-        const trace::SpanId id =
-            tc.session->record(trace::SpanKind::kHook, trace::Unit::kGpu,
-                               phase_label(name, what), tc.at, t, a, tc.parent);
-        annotate_wall(tc, id, wall0);
-    }
-    return t;
-}
-
-/// Host pre-pass (e.g. FFT bit-reversal), priced as p-way parallel CPU work.
-template <typename T>
-sim::Ticks host_pre_pass(const LevelAlgorithm<T>& alg, std::span<T> data, std::size_t p,
-                         const SpanCtx& tc = {}) {
-    const std::uint64_t w0 = tc.wall_start();
-    sim::OpCounter pre;
-    alg.before_run(data, pre);
-    const sim::Ticks t = static_cast<sim::Ticks>(pre.cpu_ops()) / static_cast<double>(p);
-    if (tc.on() && t > 0.0) {
-        trace::SpanAttrs a;
-        a.ops = static_cast<double>(pre.cpu_ops());
+        a.ops = static_cast<double>(ops.cpu_ops());
         a.work = a.ops;
-        const trace::SpanId id =
-            tc.session->record(trace::SpanKind::kHook, trace::Unit::kCpu,
-                               phase_label(alg.name(), "pre"), tc.at, t, a, tc.parent);
+        const trace::SpanId id = tc.session->record(trace::SpanKind::kHook, trace::Unit::kCpu,
+                                                    phase_label(name, what), tc.at, t, a,
+                                                    tc.parent);
         annotate_wall(tc, id, w0);
     }
     return t;
-}
-
-/// Opens the root run span of one executor invocation (kNoSpan when
-/// tracing is off); close_run finalizes its end once the total is known.
-inline trace::SpanId open_run(const ExecOptions& opts, const std::string& name,
-                              const char* executor, std::uint64_t n) {
-    if (opts.trace == nullptr) return trace::kNoSpan;
-    trace::SpanAttrs a;
-    a.items = n;
-    const trace::SpanId id = opts.trace->record(trace::SpanKind::kRun, trace::Unit::kHost,
-                                                phase_label(name, executor), 0.0, 0.0, a);
-    // Profiling stashes the wall start on the open span; close_run turns it
-    // into the run's wall duration (wall_ns stays 0 — "unprofiled" — until
-    // then).
-    if (opts.profile) opts.trace->annotate_wall(id, util::now_ns(), 0);
-    return id;
-}
-
-inline void close_run(const ExecOptions& opts, trace::SpanId run, sim::Ticks total) {
-    if (opts.trace == nullptr || run == trace::kNoSpan) return;
-    opts.trace->close(run, total);
-    const std::uint64_t w0 = opts.trace->span(run).wall_start_ns;
-    if (opts.profile && w0 != 0) {
-        const std::uint64_t t1 = util::now_ns();
-        opts.trace->annotate_wall(run, w0, t1 > w0 ? t1 - w0 : 1);
-    }
-}
-
-/// Runs the hpu::obs observation over the just-closed run when
-/// ExecOptions::observe is on. Called strictly after close_run — every
-/// tick of the report is already settled, and the observation is read-only
-/// over the session, so enabling it cannot perturb anything (enforced by
-/// test). CPU-only runs pass a partial HpuParams (their CpuParams plus
-/// defaults): without GPU or link spans the device-side parameters stay
-/// non-identifiable and fire no findings.
-template <typename T>
-void observe_run(const ExecOptions& opts, ExecReport& rep, trace::SpanId run,
-                 const sim::HpuParams& hw, const LevelAlgorithm<T>& alg,
-                 util::ThreadPool* pool, std::size_t requested_chunks = 0,
-                 std::size_t settled_chunks = 0) {
-    if (!opts.observe || opts.trace == nullptr || run == trace::kNoSpan) return;
-    obs::ObserveContext ctx;
-    ctx.hw = hw;
-    ctx.rec = alg.recurrence();
-    ctx.device_ops_multiplier = alg.device_ops_multiplier(hw.gpu);
-    if (pool != nullptr) ctx.pool = pool->telemetry();
-    ctx.requested_chunks = requested_chunks;
-    ctx.settled_chunks = settled_chunks;
-    ctx.thresholds = opts.watchdog;
-    rep.obs = obs::observe(*opts.trace, run, ctx);
 }
 
 /// Records a link-transfer span. `wall0` is a wall_start() token taken
@@ -548,15 +366,6 @@ inline void trace_transfer(const SpanCtx& tc, const std::string& name, const cha
     annotate_wall(tc, id, wall0);
 }
 
-/// Opens a phase grouping span under `run`; closed by the caller.
-inline trace::SpanId open_phase(const ExecOptions& opts, trace::SpanId run,
-                                const std::string& name, const char* phase, trace::Unit unit,
-                                sim::Ticks start) {
-    if (opts.trace == nullptr) return trace::kNoSpan;
-    return opts.trace->record(trace::SpanKind::kPhase, unit, phase_label(name, phase), start,
-                              0.0, {}, run);
-}
-
 /// Where each step of a Plan landed on the clock (pricing mode).
 struct PricedStep {
     bool ran = false;
@@ -564,109 +373,208 @@ struct PricedStep {
     sim::Ticks time = 0.0;
 };
 
-/// The one interpreter of a core::Plan. It owns the virtual clock: blocks
-/// start when their dependencies are met, phases open and close spans, and
-/// the ExecReport is summed the way the Plan says. Functional mode runs
-/// the task bodies on real data (a device buffer stands in for device
-/// memory); analytic mode prices every step from the recurrence and
-/// touches no data beyond the host pre-pass. Pricing mode (`priced` set)
-/// is analytic without spans or the pre-pass and records each step's
-/// placement for the verifier.
-template <typename T>
-class Interpreter {
-public:
-    Interpreter(const Plan& plan, sim::CpuUnit& cpu, sim::Device* dev,
-                const LevelAlgorithm<T>& alg, std::span<T> data, const ExecOptions& opts,
-                ExecReport& rep, std::vector<PricedStep>* priced = nullptr)
-        : plan_(plan), cpu_(cpu), dev_(dev), alg_(alg), data_(data), opts_(opts), rep_(rep),
-          priced_(priced), fn_(opts.functional && priced == nullptr),
-          val_(validation_ctx(opts, rep)), name_(alg.name()) {}
+/// The block clock every Plan runs on, as the CRTP base of the two step
+/// executors: the regular Interpreter below and the irregular Frontier
+/// (core/irregular.hpp). A block starts at max(end of the block it waits
+/// for, its unit's free tick), a phase closes at the latest end of its
+/// blocks, each block's time is tallied into the ExecReport, and the run
+/// total is summed the way the Plan says; the clock opens the run and phase
+/// spans and places every step span. The executor provides begin_block,
+/// execute and end_phase. Phases may be appended between advance() calls
+/// (a dynamic level is planned once the level before it has run). Pricing
+/// mode (`priced` set, tracing off) records each step's placement.
+template <typename Steps>
+class BlockClock {
+protected:
+    BlockClock(const Plan& plan, const ExecOptions& opts, ExecReport& rep, std::string name,
+               bool functional, std::vector<PricedStep>* priced = nullptr)
+        : plan_(plan), opts_(opts), rep_(rep), name_(std::move(name)), fn_(functional),
+          priced_(priced) {
+        rep.trace = opts.trace;
+        if (opts.trace == nullptr) return;
+        trace::SpanAttrs a;
+        a.items = plan.n;
+        run_ = opts.trace->record(trace::SpanKind::kRun, trace::Unit::kHost,
+                                  phase_label(name_, plan.executor), 0.0, 0.0, a);
+        // Profiling stashes the wall start on the open span; close() turns it
+        // into the run's wall duration (wall_ns stays 0 — "unprofiled" —
+        // until then).
+        if (opts.profile) opts.trace->annotate_wall(run_, util::now_ns(), 0);
+    }
 
-    void run() {
-        run_ = open_run(opts_, name_, plan_.executor, plan_.n);
-        std::vector<sim::Ticks> block_end(plan_.steps.size(), 0.0);
-        sim::Ticks prev_close = 0.0, sync = 0.0;  // sync: latest end of the kPre phases
-        for (std::size_t f = 0; f < plan_.phases.size(); ++f) {
-            const Phase& ph = plan_.phases[f];
-            const std::size_t last =
-                f + 1 < plan_.phases.size() ? plan_.phases[f + 1].first : plan_.steps.size();
-            const sim::Ticks origin = ph.origin == Origin::kPre       ? pre_
-                                      : ph.origin == Origin::kPrevClose ? prev_close
-                                      : ph.origin == Origin::kSync      ? pre_ + sync
-                                                                        : 0.0;
-            const trace::SpanId span =
-                ph.label != nullptr && priced_ == nullptr
-                    ? open_phase(opts_, run_, name_, ph.label, ph.unit, origin)
-                    : trace::kNoSpan;
-            const trace::SpanId parent = ph.label != nullptr ? span : run_;
-            const sim::Ticks zero = ph.clock == Clock::kAbsolute ? origin : 0.0;
-            sim::Ticks free[4] = {zero, zero, zero, zero};  // by trace::Unit
-            sim::Ticks start = zero, k = 0.0, charge = 0.0, end = zero;
-            const Step* head = nullptr;  // first step of the open block
-            auto close_block = [&] {
-                if (head == nullptr) return;
-                end = start + k;
-                block_end[static_cast<std::size_t>(head - plan_.steps.data())] = end;
-                free[static_cast<int>(head->unit)] = end;
-                tally(head->tally, charge);
-                head = nullptr;
-            };
-            for (std::size_t i = ph.first; i < last; ++i) {
-                const Step& s = plan_.steps[i];
-                if (ph.serial || s.block) {
-                    close_block();
-                    const sim::Ticks ready =
-                        ph.serial ? end
-                                  : (s.after >= 0 ? block_end[static_cast<std::size_t>(s.after)]
-                                                  : zero);
-                    start = std::max(ready, free[static_cast<int>(s.unit)]);
-                    k = charge = 0.0;
-                    head = &s;
-                    if (fn_ && plan_.streamed && s.unit == trace::Unit::kGpu) {
-                        view_ = buf_->device_region(s.slice.offset - plan_.device.offset,
-                                                    s.slice.words, start);
-                        view_at_ = s.slice.offset;
-                    }
-                }
-                if (s.mode == (fn_ ? StepMode::kAnalytic : StepMode::kFunctional)) continue;
-                const sim::Ticks at =
-                    ph.clock == Clock::kShifted  ? (origin + start) + k
-                    : ph.clock == Clock::kNested ? origin + (start + k)
-                                                 : origin + ((start + k) - origin);
-                const std::uint64_t level =
-                    s.kind == StepKind::kLevel ? s.level : trace::SpanAttrs::kNoLevel;
-                const SpanCtx tc{priced_ == nullptr ? opts_.trace : nullptr, parent, at, level,
-                                 opts_.profile};
-                sim::Ticks advance = 0.0;
-                const sim::Ticks time = execute(s, tc, start + k, advance);
-                if (priced_ != nullptr) (*priced_)[i] = {true, at, time};
-                k += advance;
-                charge += time;
-            }
-            close_block();
-            const sim::Ticks close = ph.clock == Clock::kAbsolute ? end : origin + end;
-            if (span != trace::kNoSpan) opts_.trace->close(span, close);
-            if (ph.origin == Origin::kPre) sync = std::max(sync, end);
-            prev_close = close;
-            if (released_) release_device();
-        }
+    /// Runs the phases appended since the last call.
+    void advance() {
+        block_end_.resize(plan_.steps.size(), 0.0);
+        for (; next_ < plan_.phases.size(); ++next_) run_phase(next_);
+    }
+
+    /// Settles the report's run-level fields, closes the run span and
+    /// returns it.
+    trace::SpanId close() {
         rep_.alpha_effective = plan_.alpha_effective;
         rep_.chunks = plan_.chunks;
+        rep_.tasks_spawned = plan_.tasks_spawned;
         rep_.total = plan_.total == Total::kCpuGpuLink
                          ? rep_.cpu_busy + rep_.gpu_busy + rep_.transfer
                      : plan_.total == Total::kGpuCpuLink
                          ? rep_.gpu_busy + rep_.cpu_busy + rep_.transfer
-                         : prev_close;
-        close_run(opts_, run_, rep_.total);
-        observe_run(opts_, rep_, run_, plan_.hw, alg_, cpu_.pool(), plan_.requested_chunks,
-                    plan_.chunks);
+                         : prev_close_;
+        if (run_ != trace::kNoSpan) {
+            opts_.trace->close(run_, rep_.total);
+            const std::uint64_t w0 = opts_.trace->span(run_).wall_start_ns;
+            if (opts_.profile && w0 != 0) {
+                const std::uint64_t t1 = util::now_ns();
+                opts_.trace->annotate_wall(run_, w0, t1 > w0 ? t1 - w0 : 1);
+            }
+        }
+        return run_;
     }
 
+    const Plan& plan_;
+    const ExecOptions& opts_;
+    ExecReport& rep_;
+    const std::string name_;
+    const bool fn_;  ///< run task bodies on data (else price steps)
+    std::vector<PricedStep>* const priced_;
+
 private:
+    void run_phase(std::size_t f) {
+        Steps& steps = static_cast<Steps&>(*this);
+        const Phase& ph = plan_.phases[f];
+        const std::size_t last =
+            f + 1 < plan_.phases.size() ? plan_.phases[f + 1].first : plan_.steps.size();
+        const sim::Ticks origin = ph.origin == Origin::kPre    ? pre_
+                                  : ph.origin == Origin::kSync ? pre_ + sync_
+                                                               : prev_close_;
+        // A labelled phase opens a grouping span, closed once its close is known.
+        const trace::SpanId span =
+            ph.label != nullptr && opts_.trace != nullptr
+                ? opts_.trace->record(trace::SpanKind::kPhase, ph.unit,
+                                      phase_label(name_, ph.label), origin, 0.0, {}, run_)
+                : trace::kNoSpan;
+        if (ph.label != nullptr) group_ = span;
+        const trace::SpanId parent = ph.nested ? group_ : ph.label != nullptr ? span : run_;
+        const sim::Ticks zero = ph.clock == Clock::kAbsolute ? origin : 0.0;
+        sim::Ticks free[4] = {zero, zero, zero, zero};  // by trace::Unit
+        sim::Ticks start = zero, k = 0.0, charge = 0.0, end = zero, latest = zero;
+        const Step* head = nullptr;  // first step of the open block
+        auto close_block = [&] {
+            if (head == nullptr) return;
+            end = start + k;
+            latest = std::max(latest, end);
+            block_end_[static_cast<std::size_t>(head - plan_.steps.data())] = end;
+            free[static_cast<int>(head->unit)] = end;
+            tally(head->tally, charge);
+            head = nullptr;
+        };
+        for (std::size_t i = ph.first; i < last; ++i) {
+            const Step& s = plan_.steps[i];
+            if (ph.serial || s.block) {
+                close_block();
+                const sim::Ticks ready =
+                    ph.serial ? end
+                              : (s.after >= 0 ? block_end_[static_cast<std::size_t>(s.after)]
+                                              : zero);
+                start = std::max(ready, free[static_cast<int>(s.unit)]);
+                k = charge = 0.0;
+                head = &s;
+                steps.begin_block(s, start);
+            }
+            if (s.mode == (fn_ ? StepMode::kAnalytic : StepMode::kFunctional)) continue;
+            const sim::Ticks at = ph.clock == Clock::kShifted  ? (origin + start) + k
+                                  : ph.clock == Clock::kNested ? origin + (start + k)
+                                                               : origin + ((start + k) - origin);
+            const std::uint64_t level =
+                s.kind == StepKind::kLevel ? s.level : trace::SpanAttrs::kNoLevel;
+            const SpanCtx tc{opts_.trace, parent, at, level, opts_.profile};
+            sim::Ticks advance = 0.0;
+            const sim::Ticks time = steps.execute(s, tc, start + k, advance);
+            if (s.kind == StepKind::kPrePass) pre_ = time;
+            if (priced_ != nullptr) (*priced_)[i] = {true, at, time};
+            k += advance;
+            charge += time;
+        }
+        close_block();
+        const sim::Ticks close = ph.clock == Clock::kAbsolute ? latest : origin + latest;
+        if (span != trace::kNoSpan) opts_.trace->close(span, close);
+        if (ph.nested && group_ != trace::kNoSpan) opts_.trace->close(group_, close);
+        if (ph.origin == Origin::kPre) sync_ = std::max(sync_, latest);
+        prev_close_ = close;
+        steps.end_phase();
+    }
+
     void tally(Tally t, sim::Ticks x) {
         sim::Ticks* field[] = {nullptr, &rep_.cpu_busy, &rep_.gpu_busy, &rep_.transfer,
                                &rep_.finish};
         if (sim::Ticks* f = field[static_cast<int>(t)]) *f += x;
+    }
+
+    trace::SpanId run_ = trace::kNoSpan;
+    trace::SpanId group_ = trace::kNoSpan;  ///< span of the latest labelled phase
+    std::vector<sim::Ticks> block_end_;     ///< by the block's first step
+    std::size_t next_ = 0;                  ///< first phase not yet run
+    sim::Ticks pre_ = 0.0;                  ///< host pre-pass time
+    sim::Ticks prev_close_ = 0.0;
+    sim::Ticks sync_ = 0.0;                 ///< latest end of the kPre phases
+};
+
+/// The steps of a regular Plan: host pre-pass, device hooks, leaf sweeps,
+/// tree levels and transfers. Functional mode runs the task bodies on real
+/// data (a device buffer stands in for device memory); analytic mode
+/// prices every step from the recurrence and touches no data beyond the
+/// host pre-pass. Pricing mode is analytic without the pre-pass and
+/// records each step's placement for the verifier.
+template <typename T>
+class Interpreter : BlockClock<Interpreter<T>> {
+    using Base = BlockClock<Interpreter<T>>;
+    friend Base;
+    using Base::fn_;
+    using Base::name_;
+    using Base::opts_;
+    using Base::plan_;
+    using Base::priced_;
+    using Base::rep_;
+
+public:
+    Interpreter(const Plan& plan, sim::CpuUnit& cpu, sim::Device* dev,
+                const LevelAlgorithm<T>& alg, std::span<T> data, const ExecOptions& opts,
+                ExecReport& rep, std::vector<PricedStep>* priced = nullptr)
+        : Base(plan, opts, rep, alg.name(), opts.functional && priced == nullptr, priced),
+          cpu_(cpu), dev_(dev), alg_(alg), data_(data), val_(validation_ctx(opts, rep)) {}
+
+    /// Runs the plan, then (ExecOptions::observe) the hpu::obs observation
+    /// over the closed run: every tick is settled and the observation only
+    /// reads the session, so it cannot perturb anything (enforced by test).
+    /// CPU-only runs pass a partial HpuParams: without GPU or link spans the
+    /// device-side parameters stay non-identifiable and fire no findings.
+    void run() {
+        this->advance();
+        const trace::SpanId run = this->close();
+        if (!opts_.observe || opts_.trace == nullptr || run == trace::kNoSpan) return;
+        obs::ObserveContext ctx;
+        ctx.hw = plan_.hw;
+        ctx.rec = alg_.recurrence();
+        ctx.device_ops_multiplier = alg_.device_ops_multiplier(plan_.hw.gpu);
+        if (cpu_.pool() != nullptr) ctx.pool = cpu_.pool()->telemetry();
+        ctx.requested_chunks = plan_.requested_chunks;
+        ctx.settled_chunks = plan_.chunks;
+        ctx.thresholds = opts_.watchdog;
+        rep_.obs = obs::observe(*opts_.trace, run, ctx);
+    }
+
+private:
+    /// A streamed device block works on the chunk view its transfer made
+    /// resident.
+    void begin_block(const Step& s, sim::Ticks start) {
+        if (fn_ && plan_.streamed && s.unit == trace::Unit::kGpu) {
+            view_ = buf_->device_region(s.slice.offset - plan_.device.offset, s.slice.words,
+                                        start);
+            view_at_ = s.slice.offset;
+        }
+    }
+
+    void end_phase() {
+        if (released_) release_device();
     }
 
     std::span<T> host(const Slice& s) const { return data_.subspan(s.offset, s.words); }
@@ -681,9 +589,13 @@ private:
     sim::Ticks execute(const Step& s, const SpanCtx& tc, sim::Ticks now, sim::Ticks& advance) {
         sim::Ticks t = 0.0;
         switch (s.kind) {
-            case StepKind::kPrePass:
-                pre_ = priced_ != nullptr ? 0.0 : host_pre_pass(alg_, data_, plan_.hw.cpu.p, tc);
-                t = pre_;
+            case StepKind::kPrePass:  // e.g. FFT bit reversal; not part of a priced plan
+                if (priced_ == nullptr) {
+                    const std::uint64_t w0 = tc.wall_start();
+                    sim::OpCounter ops;
+                    alg_.before_run(data_, ops);
+                    t = charge_host_pass(ops, plan_.hw.cpu.p, name_, "pre", tc, w0);
+                }
                 break;
             case StepKind::kHook: t = hook(s, tc); break;
             case StepKind::kLeaves:
@@ -701,24 +613,39 @@ private:
                 }
                 return t;
             }
+            case StepKind::kPostPass: HPU_CHECK(false, "regular plans have no post-pass");
         }
         advance = t;
         return t;
     }
 
+    /// A device hook: its functional callback, or the analytic lump of all
+    /// of them, priced by hook_time. The kHook span is skipped when the hook
+    /// charged nothing (most algorithms have empty hooks).
     sim::Ticks hook(const Step& s, const SpanCtx& tc) {
-        if (s.hook == HookCall::kLump) {
-            return traced_hook(*dev_, alg_.analytic_gpu_hook_ops(s.slice.words), name_, s.what,
-                               tc);
-        }
-        const std::uint64_t w0 = tc.wall_start();
-        const std::span<T> view = device(s.slice);
-        const std::uint64_t count = s.slice.words / plan_.task_size(s.level);
+        const bool lump = s.hook == HookCall::kLump;
+        const std::uint64_t w0 = lump ? 0 : tc.wall_start();
         sim::OpCounter ops;
-        if (s.hook == HookCall::kBeforeLevels) alg_.before_gpu_levels(view, count, ops);
-        if (s.hook == HookCall::kAfterLevel) alg_.after_gpu_level(view, count, ops);
-        if (s.hook == HookCall::kAfterLevels) alg_.after_gpu_levels(view, count, ops);
-        return traced_hook(*dev_, ops, name_, s.what, tc, w0);
+        if (lump) {
+            ops = alg_.analytic_gpu_hook_ops(s.slice.words);
+        } else {
+            const std::span<T> view = device(s.slice);
+            const std::uint64_t count = s.slice.words / plan_.task_size(s.level);
+            if (s.hook == HookCall::kBeforeLevels) alg_.before_gpu_levels(view, count, ops);
+            if (s.hook == HookCall::kAfterLevel) alg_.after_gpu_level(view, count, ops);
+            if (s.hook == HookCall::kAfterLevels) alg_.after_gpu_levels(view, count, ops);
+        }
+        const sim::Ticks t = hook_time(*dev_, ops);
+        if (tc.on() && t > 0.0) {
+            trace::SpanAttrs a;
+            a.ops = ops.gpu_ops(dev_->params().strided_penalty);
+            a.work = static_cast<double>(ops.cpu_ops());
+            annotate_wall(tc,
+                          tc.session->record(trace::SpanKind::kHook, trace::Unit::kGpu,
+                                             phase_label(name_, s.what), tc.at, t, a, tc.parent),
+                          w0);
+        }
+        return t;
     }
 
     /// A leaf sweep or a tree level on either unit.
@@ -730,10 +657,8 @@ private:
         if (tasks == 0) return 0.0;
         if (!leaves && s.counted) ++(gpu ? rep_.levels_gpu : rep_.levels_cpu);
         if (fn_ && (!leaves || alg_.has_leaf_work())) {
-            return gpu ? functional_gpu_sweep(*dev_, alg_, device(s.slice), tasks, leaves, val_,
-                                              tc)
-                       : functional_cpu_sweep(cpu_, alg_, host(s.slice), tasks, leaves, opts_,
-                                              val_, tc);
+            return gpu ? gpu_sweep(device(s.slice), tasks, leaves, tc)
+                       : cpu_sweep(host(s.slice), tasks, leaves, tc);
         }
         const Price p = leaves ? (gpu ? price_leaves(*dev_, alg_, tasks)
                                       : price_leaves(cpu_, alg_, tasks))
@@ -748,6 +673,109 @@ private:
                                  gpu ? dev_->params().g : 0);
         }
         return p.time;
+    }
+
+    /// Race-checks one functional launch: launches whose phase the static
+    /// pass certified are checked for conformance against the declared
+    /// footprint (O(descriptors) per item); everything else goes through
+    /// the exact word-concretizing detector. Both paths share counter and
+    /// budget semantics, so a clean run's AnalysisReport is byte-identical
+    /// either way.
+    void check_launch(verify::Phase phase, const std::vector<sim::ItemAccessLog>& logs,
+                      std::uint64_t wave_width, std::uint64_t task_size,
+                      const std::string& label) {
+        if (val_.proven(phase)) {
+            if (auto fp = alg_.footprint(verify::FootprintQuery{phase}); fp.has_value()) {
+                verify::check_conformance(*fp, logs, task_size, wave_width, label,
+                                          *val_.report, val_.race);
+                return;
+            }
+        }
+        analysis::detect_races(logs, wave_width, label, *val_.report, val_.race);
+    }
+
+    /// Functional CPU sweep over `region`: one tree level of `tasks` tasks,
+    /// or (leaves) its base cases. With validation on, task access sets are
+    /// recorded and race-checked.
+    sim::Ticks cpu_sweep(std::span<T> region, std::uint64_t tasks, bool leaves,
+                         const SpanCtx& tc) {
+        const std::uint64_t w0 = tc.wall_start();
+        const char* phase = leaves ? "cpu-leaves" : "cpu-level";
+        std::vector<sim::ItemAccessLog> logs(val_.on() ? tasks : 0);
+        auto body = [&](std::uint64_t j, sim::OpCounter& ops) {
+            if (val_.on()) ops.trace = &logs[j];
+            if (leaves) {
+                alg_.run_leaf(region, tasks, j, ops);
+            } else {
+                alg_.run_task(region, tasks, j, ops);
+            }
+        };
+        const sim::LevelResult r =
+            leaves ? cpu_.run_level(tasks, body)
+                   : cpu_.run_level(tasks, body, alg_.level_working_set_bytes(region.size()),
+                                    opts_.order, alg_.intra_task_parallel());
+        if (val_.on()) {
+            check_launch(leaves ? verify::Phase::kLeaf : verify::Phase::kCpuTask, logs,
+                         cpu_.params().p, leaves ? alg_.base_size() : region.size() / tasks,
+                         launch_label(name_, phase, tasks));
+        }
+        if (tc.on()) {
+            annotate_wall(tc, trace_cpu_level(tc, name_, phase, r,
+                                              leaves ? trace::SpanKind::kLeaves
+                                                     : trace::SpanKind::kLevel),
+                          w0);
+        }
+        return r.time;
+    }
+
+    /// Functional device sweep over `view` as one kernel of `tasks` items
+    /// (a level, or its base cases). With validation on, the launch is
+    /// race-checked and a level is re-executed in a permuted item order to
+    /// catch order-dependent kernels the declared access sets miss.
+    sim::Ticks gpu_sweep(std::span<T> view, std::uint64_t tasks, bool leaves,
+                         const SpanCtx& tc) {
+        const std::uint64_t w0 = tc.wall_start();
+        const char* phase = leaves ? "gpu-leaves" : "gpu-level";
+        std::vector<sim::WaveTrace> waves;
+        WaveTraceGuard guard(*dev_, tc.on() ? &waves : nullptr);
+        std::vector<sim::ItemAccessLog> logs(val_.on() ? tasks : 0);
+        std::vector<T> before;
+        if (val_.on() && !leaves) before.assign(view.begin(), view.end());
+        auto body = [&](sim::WorkItem& wi) {
+            if (val_.on()) wi.ops().trace = &logs[wi.global_id()];
+            if (leaves) {
+                alg_.run_leaf(view, tasks, wi.global_id(), wi.ops());
+            } else {
+                alg_.run_device_task(view, tasks, wi.global_id(), wi.ops());
+            }
+        };
+        const sim::LaunchResult r = leaves ? dev_->launch(tasks, body)
+                                           : dev_->launch(tasks, body, alg_.intra_task_parallel());
+        if (val_.on()) {
+            const std::string label = launch_label(name_, phase, tasks);
+            check_launch(leaves ? verify::Phase::kLeaf : verify::Phase::kDeviceTask, logs,
+                         dev_->params().g, leaves ? alg_.base_size() : view.size() / tasks,
+                         label);
+            if (!leaves) {
+                const std::vector<T> after(view.begin(), view.end());
+                auto finding = analysis::check_schedule_independence(
+                    view, std::span<const T>(before), std::span<const T>(after), tasks,
+                    [&](std::uint64_t j) {
+                        sim::OpCounter throwaway;
+                        alg_.run_device_task(view, tasks, j, throwaway);
+                    },
+                    /*seed=*/tasks, label);
+                if (finding) val_.report->add(std::move(*finding));
+            }
+        }
+        if (tc.on()) {
+            annotate_wall(tc,
+                          trace_gpu_launch(tc, name_, phase, *dev_, r, tasks, waves,
+                                           leaves ? trace::SpanKind::kLeaves
+                                                  : trace::SpanKind::kLevel),
+                          w0);
+        }
+        return r.time;
     }
 
     /// The physical side of a transfer: the device buffer is created by the
@@ -791,19 +819,11 @@ private:
         released_ = false;
     }
 
-    const Plan& plan_;
     sim::CpuUnit& cpu_;
     sim::Device* dev_;
     const LevelAlgorithm<T>& alg_;
     std::span<T> data_;
-    const ExecOptions& opts_;
-    ExecReport& rep_;
-    std::vector<PricedStep>* priced_;
-    const bool fn_;
     const ValCtx val_;
-    const std::string name_;
-    trace::SpanId run_ = trace::kNoSpan;
-    sim::Ticks pre_ = 0.0;
     std::optional<sim::DeviceBuffer<T>> buf_;
     std::vector<sim::BufferEvent> buf_events_;
     std::span<T> view_;
@@ -863,7 +883,9 @@ hpu::verify::VerifyReport verify_plan(const Plan& plan, sim::CpuUnit& cpu, sim::
         }
         sp.events.push_back(std::move(e));
     }
-    if (plan.guarded) verify::check_never_worse(plan.est_chosen, plan.est_mono, plan.chunks, rep);
+    if (plan.requested_chunks > 0) {
+        verify::check_never_worse(plan.est_chosen, plan.est_mono, plan.chunks, rep);
+    }
     verify::check_plan(sp, plan.hw, rep);
     return rep;
 }
@@ -881,7 +903,6 @@ ExecReport run_plan(const Plan& plan, sim::CpuUnit& cpu, sim::Device* dev,
         detail::bind_merge_exec(alg, cpu.pool(), opts);
     }
     ExecReport rep;
-    rep.trace = opts.trace;
     if (opts.verify) rep.verify = detail::verify_plan(plan, cpu, dev, alg);
     detail::Interpreter<T>(plan, cpu, dev, alg, data, opts, rep).run();
     return rep;

@@ -1,12 +1,14 @@
-// core::Plan — the schedule of one regular executor run, written down once
+// core::Plan — the schedule of one executor run, written down once
 // (DESIGN.md §17). A Plan is an ordered list of steps, each on one unit
-// (cpu / gpu / link / host) over a slice of the array: the host pre-pass,
+// (cpu / gpu / link / host) over a slice of the array: the host passes,
 // device hooks, leaf sweeps, tree levels, and transfers. Steps group into
 // blocks that start when their dependencies are met (an earlier block has
 // ended and the unit is free), and blocks into phases that open trace
-// spans. One planner per executor builds the Plan from (α, y, K); the
-// interpreter in core/executors.hpp runs it in functional or analytic
-// mode, and the verifier checks the same Plan, priced analytically.
+// spans. One planner per regular executor builds the Plan from (α, y, K);
+// the irregular engine (core/irregular.hpp) appends it one dynamic level
+// at a time. The block clock in core/executors.hpp runs it in functional
+// or analytic mode, and the verifier checks a regular Plan, priced
+// analytically.
 //
 // Each executor historically summed its clocks in its own order, and the
 // reports and span trees are pinned bit for bit (tests/plan_golden_test).
@@ -88,7 +90,9 @@ inline sim::Ticks hook_time(const sim::Device& dev, const sim::OpCounter& ops) {
 
 // ------------------------------------------------------------ the plan
 
-enum class StepKind : std::uint8_t { kPrePass, kHook, kLeaves, kLevel, kTransfer };
+/// kPrePass / kPostPass are host passes: the regular pre-pass, or the
+/// irregular root pass and finalize.
+enum class StepKind : std::uint8_t { kPrePass, kPostPass, kHook, kLeaves, kLevel, kTransfer };
 
 /// Which device hook a kHook step calls: one of the algorithm's functional
 /// callbacks, or (analytic mode) the closed-form lump of all of them.
@@ -102,9 +106,8 @@ enum class Tally : std::uint8_t { kNone, kCpu, kGpu, kLink, kFinish };
 
 /// Where a phase's clock starts.
 enum class Origin : std::uint8_t {
-    kZero,       ///< tick 0
     kPre,        ///< end of the host pre-pass
-    kPrevClose,  ///< close tick of the previous phase
+    kPrevClose,  ///< close tick of the previous phase (0 for the first)
     kSync,       ///< pre + the latest end of the kPre phases (the join)
 };
 
@@ -128,17 +131,18 @@ struct Slice {
     std::uint64_t words = 0;
 };
 
+/// Tasks [begin, end) of one dynamic level.
+struct TaskRange {
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+};
+
+/// Small fields first, so a step packs into 72 bytes.
 struct Step {
     StepKind kind = StepKind::kLevel;
     trace::Unit unit = trace::Unit::kCpu;
-    /// Tree level of a kLevel step; for hooks, the level whose task count
-    /// the callback receives.
-    std::uint64_t level = 0;
-    Slice slice;
-    std::uint64_t chunk = 0;  ///< transfer chunk (pipelined)
     HookCall hook = HookCall::kLump;
     StepMode mode = StepMode::kBoth;
-    const char* what = "";    ///< span label of hooks and transfers
     bool to_device = true;    ///< transfer direction
     bool timed = true;        ///< false: physical copy only, no virtual time
     bool counted = true;      ///< level counts toward ExecReport::levels_*
@@ -146,17 +150,28 @@ struct Step {
     /// step `after` (none: the phase's zero), the unit's free tick) and
     /// charges its summed time to `tally`.
     bool block = false;
-    std::int64_t after = -1;
     Tally tally = Tally::kNone;
+    std::int64_t after = -1;
+    /// Tree level of a kLevel step; for hooks, the level whose task count
+    /// the callback receives.
+    std::uint64_t level = 0;
+    /// Elements the step covers. Steps of a dynamic level only use
+    /// `words`: the extent the step ships or runs over.
+    Slice slice;
+    TaskRange tasks;  ///< the tasks a dynamic level step runs
+    const char* what = "";    ///< span label of hooks and transfers
 };
 
 struct Phase {
     const char* label = nullptr;  ///< phase span label; nullptr = no span
     trace::Unit unit = trace::Unit::kHost;
-    Origin origin = Origin::kZero;
+    Origin origin = Origin::kPrevClose;
     Clock clock = Clock::kShifted;
     /// Every step is its own block, starting where the previous one ended.
     bool serial = false;
+    /// Spans go under the latest labelled phase's span, and the phase's
+    /// close extends it (a dynamic level inside its expand/combine sweep).
+    bool nested = false;
     std::size_t first = 0;  ///< first step; the phase runs to the next one's first
 };
 
@@ -166,12 +181,13 @@ struct Plan {
     std::uint64_t n = 0;
     std::uint64_t a = 2;
     Slice device;          ///< elements the device buffer holds (words 0: none)
-    bool streamed = false; ///< transfers queue on a sim::Stream (chunked)
+    bool streamed = false; ///< chunked transfers stream into the device buffer
     Total total = Total::kCpuGpuLink;
     double alpha_effective = 0.0;
     std::uint64_t chunks = 0;            ///< K settled on (pipelined)
-    std::uint64_t requested_chunks = 0;  ///< K requested (pipelined)
-    bool guarded = false;                ///< never-worse estimates below are set
+    /// K requested (pipelined, whose never-worse estimates below are set)
+    std::uint64_t requested_chunks = 0;
+    std::uint64_t tasks_spawned = 0;     ///< tasks of the expand sweep (irregular)
     sim::Ticks est_chosen = 0.0;
     sim::Ticks est_mono = 0.0;
     std::vector<Phase> phases;
@@ -250,8 +266,8 @@ inline SplitChoice choose_split(std::uint64_t L, std::uint64_t n, std::uint64_t 
 namespace plan_detail {
 
 inline void open_phase(Plan& p, const char* label, trace::Unit unit, Origin origin, Clock clock,
-                       bool serial = false) {
-    p.phases.push_back({label, unit, origin, clock, serial, p.steps.size()});
+                       bool serial = false, bool nested = false) {
+    p.phases.push_back({label, unit, origin, clock, serial, nested, p.steps.size()});
 }
 
 /// Marks the steps emitted since `first` as one block; returns its first
@@ -264,26 +280,29 @@ inline std::int64_t close_block(Plan& p, std::size_t first, std::int64_t after, 
     return static_cast<std::int64_t>(first);
 }
 
-inline void pre_pass(Plan& p, Tally tally) {
+/// Opens a serial phase with one host pass (the regular pre-pass, or the
+/// irregular root pass and finalize) charged to `tally`; later steps may
+/// join the phase.
+inline void host_pass(Plan& p, StepKind kind, Tally tally, StepMode mode) {
+    open_phase(p, nullptr, trace::Unit::kHost, Origin::kPrevClose, Clock::kShifted, true);
     Step s;
-    s.kind = StepKind::kPrePass;
+    s.kind = kind;
     s.unit = trace::Unit::kCpu;
     s.tally = tally;
+    s.mode = mode;
     p.steps.push_back(s);
 }
 
 /// A transfer as its own block, waiting for the block of step `after`;
 /// returns its index.
 inline std::int64_t transfer(Plan& p, Slice slice, bool to_device, const char* what,
-                             std::int64_t after = -1, std::uint64_t chunk = 0,
-                             bool timed = true) {
+                             std::int64_t after = -1, bool timed = true) {
     Step s;
     s.kind = StepKind::kTransfer;
     s.unit = trace::Unit::kLink;
     s.slice = slice;
     s.to_device = to_device;
     s.what = what;
-    s.chunk = chunk;
     s.timed = timed;
     s.block = true;
     s.after = after;
@@ -357,14 +376,17 @@ inline void gpu_pass(Plan& p, Slice view, std::uint64_t from_deep, std::uint64_t
     if (post_lump) hook(p, view, HookCall::kLump, 0, StepMode::kAnalytic, "gpu-post-hook");
 }
 
+/// A plan for `executor` that opens with the host pre-pass, charged to
+/// `pre` and run in `mode`.
 template <typename T>
 Plan skeleton(const char* executor, const sim::HpuParams& hw, const LevelAlgorithm<T>& alg,
-              std::uint64_t n) {
+              std::uint64_t n, Tally pre, StepMode mode = StepMode::kBoth) {
     Plan p;
     p.executor = executor;
     p.hw = hw;
     p.n = n;
     p.a = alg.a();
+    host_pass(p, StepKind::kPrePass, pre, mode);
     return p;
 }
 
@@ -405,9 +427,7 @@ Plan plan_cpu(const LevelAlgorithm<T>& alg, std::uint64_t n, const sim::CpuParam
     const std::uint64_t L = level_count(alg, n);
     sim::HpuParams hw;
     hw.cpu = cpu;
-    Plan p = d::skeleton(executor, hw, alg, n);
-    d::open_phase(p, nullptr, trace::Unit::kHost, Origin::kZero, Clock::kShifted, true);
-    d::pre_pass(p, Tally::kCpu);
+    Plan p = d::skeleton(executor, hw, alg, n, Tally::kCpu);
     const std::size_t first = p.steps.size();
     d::leaves(p, trace::Unit::kCpu, {0, n});
     d::cpu_levels(p, {0, n}, L - 1, 0);
@@ -423,15 +443,13 @@ Plan plan_gpu(const LevelAlgorithm<T>& alg, std::uint64_t n, const sim::HpuParam
               bool include_transfers) {
     namespace d = plan_detail;
     const std::uint64_t L = level_count(alg, n);
-    Plan p = d::skeleton("gpu", hw, alg, n);
+    Plan p = d::skeleton("gpu", hw, alg, n, Tally::kCpu);
     p.device = {0, n};
-    d::open_phase(p, nullptr, trace::Unit::kHost, Origin::kZero, Clock::kShifted, true);
-    d::pre_pass(p, Tally::kCpu);
-    d::transfer(p, {0, n}, true, "xfer-in", -1, 0, include_transfers);
+    d::transfer(p, {0, n}, true, "xfer-in", -1, include_transfers);
     const std::size_t first = p.steps.size();
     d::gpu_pass(p, {0, n}, L - 1, 0, /*lump=*/true);
     d::close_block(p, first, -1, Tally::kGpu);
-    d::transfer(p, {0, n}, false, "xfer-out", -1, 0, include_transfers);
+    d::transfer(p, {0, n}, false, "xfer-out", -1, include_transfers);
     return p;
 }
 
@@ -447,11 +465,9 @@ Plan plan_basic(const LevelAlgorithm<T>& alg, std::uint64_t n, const sim::HpuPar
     // First GPU level: the shallowest level the device wins.
     const std::uint64_t gpu_top = std::min<std::uint64_t>(
         L, static_cast<std::uint64_t>(std::ceil(std::max(0.0, pred.crossover_level))));
-    Plan p = d::skeleton("basic-hybrid", hw, alg, n);
+    Plan p = d::skeleton("basic-hybrid", hw, alg, n, Tally::kCpu);
     p.device = {0, n};
     p.total = Total::kGpuCpuLink;
-    d::open_phase(p, nullptr, trace::Unit::kHost, Origin::kZero, Clock::kShifted, true);
-    d::pre_pass(p, Tally::kCpu);
     d::open_phase(p, "gpu-phase", trace::Unit::kGpu, Origin::kPre, Clock::kAbsolute, true);
     d::transfer(p, {0, n}, true, "xfer-in");
     std::size_t first = p.steps.size();
@@ -480,10 +496,8 @@ Plan plan_advanced(const LevelAlgorithm<T>& alg, std::uint64_t n, const sim::Hpu
     HPU_CHECK(y >= 1 && y <= L, "transfer level y must be in [1, L]");
     const SplitChoice sp = choose_split(L, n, alg.a(), alpha, y, split_tasks, hw.cpu.p);
     const Slice gpu{sp.split_elem, n - sp.split_elem};
-    Plan p = d::skeleton("advanced-hybrid", hw, alg, n);
+    Plan p = d::skeleton("advanced-hybrid", hw, alg, n, Tally::kNone);
     p.device = gpu;
-    d::open_phase(p, nullptr, trace::Unit::kHost, Origin::kZero, Clock::kShifted, true);
-    d::pre_pass(p, Tally::kNone);
     d::open_phase(p, "gpu-phase", trace::Unit::kGpu, Origin::kPre, Clock::kNested);
     const std::int64_t in = d::transfer(p, gpu, true, "xfer-in");
     const std::size_t first = p.steps.size();
@@ -591,23 +605,20 @@ Plan plan_pipelined(const LevelAlgorithm<T>& alg, std::uint64_t n, const sim::Hp
     const std::uint64_t W = n - off;
     const PipelineChoice pc = choose_pipeline(alg, dev, hw.link, n, L, alg.a(), W, y, chunks);
     const std::uint64_t K = pc.chunks.size();
-    Plan p = d::skeleton("pipelined-hybrid", hw, alg, n);
+    Plan p = d::skeleton("pipelined-hybrid", hw, alg, n, Tally::kNone);
     p.device = {off, W};
     p.streamed = true;
     p.chunks = K;
     p.requested_chunks = chunks;
-    p.guarded = true;
     p.est_chosen = pc.est_chosen;
     p.est_mono = pc.est_mono;
-    d::open_phase(p, nullptr, trace::Unit::kHost, Origin::kZero, Clock::kShifted, true);
-    d::pre_pass(p, Tally::kNone);
     d::open_phase(p, "gpu-phase", trace::Unit::kGpu, Origin::kPre, Clock::kNested);
     auto chunk = [&](std::uint64_t c) {
         return Slice{off + pc.chunks[c].offset, pc.chunks[c].words};
     };
     std::vector<std::int64_t> in(K), compute(K);
     for (std::uint64_t c = 0; c < K; ++c) {  // stage 0: every chunk enqueued at tick 0
-        in[c] = d::transfer(p, chunk(c), true, "xfer-in-chunk", -1, c);
+        in[c] = d::transfer(p, chunk(c), true, "xfer-in-chunk");
     }
     for (std::uint64_t c = 0; c < K; ++c) {  // stage 1: chunk-local deep levels
         const std::size_t first = p.steps.size();
@@ -622,7 +633,7 @@ Plan plan_pipelined(const LevelAlgorithm<T>& alg, std::uint64_t n, const sim::Hp
         d::transfer(p, {off, W}, false, "xfer-out", d::close_block(p, first, -1, Tally::kGpu));
     } else {
         for (std::uint64_t c = 0; c < K; ++c) {
-            d::transfer(p, chunk(c), false, "xfer-out-chunk", compute[c], c);
+            d::transfer(p, chunk(c), false, "xfer-out-chunk", compute[c]);
         }
     }
     d::split_cpu_phases(p, L, y, sp);

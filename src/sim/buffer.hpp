@@ -114,7 +114,7 @@ public:
         host_valid_ = true;
     }
 
-    /// Asynchronous host→device chunk copy as scheduled by a sim::Stream:
+    /// Asynchronous host→device chunk copy as the link schedules it:
     /// the words move now (the clock is virtual), but the event log keeps
     /// the link schedule [start, ready) so the residency lint can verify
     /// that no kernel touches the chunk before it arrives. Unlike the

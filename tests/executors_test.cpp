@@ -8,6 +8,7 @@
 
 #include "algos/binary_reduce.hpp"
 #include "algos/mergesort.hpp"
+#include "algos/quickhull.hpp"
 #include "core/executors.hpp"
 #include "core/hybrid.hpp"
 #include "core/pipeline.hpp"
@@ -200,17 +201,28 @@ struct CountingSort final : algos::MergesortPlain<std::int32_t> {
     }
 };
 
-TEST(AnalyticMode, TouchesNoScratchOnAnyExecutor) {
-    const std::uint64_t n = 1 << 10;
+/// Quickhull (the irregular engine's path) with the same counter.
+struct CountingHull final : algos::Quickhull {
+    mutable int prepares = 0;
+    void prepare(std::uint64_t n) const override {
+        ++prepares;
+        algos::Quickhull::prepare(n);
+    }
+};
+
+/// Runs `Alg` on every executor in both modes and expects one prepare per
+/// functional run and none per analytic run.
+template <typename Alg, typename T>
+void expect_prepares(const std::vector<T>& input) {
     for (const bool functional : {false, true}) {
         for (int e = 0; e < 6; ++e) {
             SCOPED_TRACE(::testing::Message() << "executor " << e << " functional " << functional);
             sim::Hpu h(platforms::hpu1());
-            CountingSort alg;
-            auto data = random_input(n, 21);
+            Alg alg;
+            auto data = input;
             ExecOptions opts;
             opts.functional = functional;
-            const std::span<std::int32_t> span(data);
+            const std::span<T> span(data);
             switch (e) {
                 case 0: run_sequential(h.cpu(), alg, span, opts); break;
                 case 1: run_multicore(h.cpu(), alg, span, opts); break;
@@ -232,6 +244,17 @@ TEST(AnalyticMode, TouchesNoScratchOnAnyExecutor) {
             EXPECT_EQ(alg.prepares, functional ? 1 : 0);
         }
     }
+}
+
+TEST(AnalyticMode, TouchesNoScratchOnAnyExecutor) {
+    expect_prepares<CountingSort>(random_input(1 << 10, 21));
+    std::vector<algos::Pt> pts(301);
+    util::Rng rng(5);
+    for (algos::Pt& p : pts) {
+        p.x = rng.uniform_int(0, 4095);
+        p.y = rng.uniform_int(0, 4095);
+    }
+    expect_prepares<CountingHull>(pts);
 }
 
 }  // namespace

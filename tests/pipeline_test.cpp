@@ -1,5 +1,4 @@
 // The pipelined hybrid (DESIGN.md §9) and its transfer engine:
-//  * sim::Stream FIFO arithmetic on the virtual clock;
 //  * K = 1 reproduces the advanced hybrid's makespan exactly (same float
 //    operations in the same order — EXPECT_EQ, not NEAR);
 //  * the no-win guard keeps the pipelined schedule never worse than the
@@ -24,39 +23,10 @@
 #include "core/pipeline.hpp"
 #include "model/pipeline.hpp"
 #include "platforms/platforms.hpp"
-#include "sim/stream.hpp"
 #include "util/rng.hpp"
 
 namespace hpu::core {
 namespace {
-
-TEST(Stream, FifoSchedulingArithmetic) {
-    sim::LinkParams link;
-    link.lambda = 100.0;
-    link.delta = 2.0;
-    sim::Stream s(link);
-    // Chunk ready at 0: starts immediately, occupies [0, 120).
-    const auto e0 = s.push_to_device(10, 0, 0.0);
-    EXPECT_DOUBLE_EQ(e0.when, 120.0);
-    // Ready at 50 but the link is busy until 120: queued 70 ticks.
-    const auto e1 = s.push_to_device(5, 10, 50.0);
-    EXPECT_DOUBLE_EQ(e1.when, 230.0);
-    EXPECT_DOUBLE_EQ(s.chunks()[1].queue_delay(), 70.0);
-    // Ready long after the link drained: the link waits on the producer.
-    const auto e2 = s.push_to_host(20, 0, 500.0);
-    EXPECT_DOUBLE_EQ(e2.when, 640.0);
-    EXPECT_DOUBLE_EQ(s.free_at(), 640.0);
-    EXPECT_DOUBLE_EQ(s.sync().when, 640.0);
-    // busy() is occupied time only — the [230, 500) idle gap is excluded.
-    EXPECT_DOUBLE_EQ(s.busy(), 120.0 + 110.0 + 140.0);
-    EXPECT_TRUE(e0.done(120.0));
-    EXPECT_FALSE(e2.done(120.0));
-    EXPECT_DOUBLE_EQ(e0.wait(130.0), 130.0);
-    EXPECT_DOUBLE_EQ(e2.wait(130.0), 640.0);
-    ASSERT_EQ(s.chunks().size(), 3u);
-    EXPECT_TRUE(s.chunks()[0].to_device);
-    EXPECT_FALSE(s.chunks()[2].to_device);
-}
 
 TEST(PipelinedHybrid, K1ReproducesAdvancedExactly) {
     algos::MergesortCoalesced<std::int32_t> alg;
