@@ -20,9 +20,16 @@
 // pipelined levels of K >= 3 chunks, gpu with and without boundary
 // transfers).
 //
-// The last test re-emits the committed example traces
-// (bench/traces/{basic,advanced}_hpu1_lg20.json) in process and requires
+// The committed example traces (bench/traces/{basic,advanced}_hpu1_lg20.json)
+// are re-emitted in process and must satisfy
 // obs::diff_traces(...).identical(0.0) against the committed files.
+//
+// The last test pins the readers that price recorded spans: obs::what_if
+// curves over both committed traces, and what_if curves plus
+// trace::derive_utilization reports over analytic runs of all six
+// executors (mergesort-coalesced and FFT, HPU1 and HPU2, one run per
+// session). Values enter the digest printed to 12 significant digits, so a
+// price computed through a differently ordered formula may move by an ulp.
 #include <gtest/gtest.h>
 
 #include <complex>
@@ -48,8 +55,10 @@
 #include "model/advanced.hpp"
 #include "obs/diff.hpp"
 #include "obs/trace_io.hpp"
+#include "obs/whatif.hpp"
 #include "platforms/platforms.hpp"
 #include "trace/span.hpp"
+#include "trace/utilization.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hpu::core {
@@ -718,6 +727,149 @@ TEST(PlanGolden, CommittedLg20TracesReEmitIdentically) {
         EXPECT_TRUE(diff.identical(0.0)) << "delta " << diff.delta();
         EXPECT_EQ(committed.session.spans().size(), fresh.spans().size());
     }
+}
+
+/// Prints `v` to 12 significant digits into the digest.
+void absorb12(Digest& d, double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.12g", v);
+    d.str(buf);
+}
+
+void absorb(Digest& d, const obs::WhatIfReport& w) {
+    d.u64(w.attempted ? 1 : 0);
+    absorb12(d, w.baseline);
+    d.u64(w.curves.size());
+    for (const obs::WhatIfCurve& c : w.curves) {
+        d.str(obs::to_string(c.param));
+        absorb12(d, c.configured);
+        absorb12(d, c.improve_factor);
+        absorb12(d, c.improved);
+        absorb12(d, c.gain);
+        for (const obs::WhatIfPoint& pt : c.points) {
+            absorb12(d, pt.factor);
+            absorb12(d, pt.predicted);
+            absorb12(d, pt.speedup);
+        }
+    }
+}
+
+void absorb(Digest& d, const trace::UtilizationReport& u) {
+    absorb12(d, u.interval);
+    for (const trace::UnitUtilization& x : u.units) {
+        d.u64(static_cast<std::uint64_t>(x.unit));
+        absorb12(d, x.busy);
+        absorb12(d, x.idle);
+        absorb12(d, x.utilization);
+        absorb12(d, x.work);
+    }
+    absorb12(d, u.gpu_lane_occupancy);
+    absorb12(d, u.link_utilization);
+    absorb12(d, u.effective_bandwidth);
+    absorb12(d, u.peak_bandwidth);
+    absorb12(d, u.gpu_work_share);
+    d.u64(u.transfers);
+    for (const trace::LevelDrift& l : u.levels) {
+        d.u64(l.level);
+        d.u64((l.on_cpu ? 1 : 0) | (l.on_gpu ? 2 : 0));
+        d.u64(l.tasks);
+        absorb12(d, l.observed);
+        absorb12(d, l.predicted);
+        absorb12(d, l.drift);
+    }
+}
+
+struct ReaderGolden {
+    const char* alg;
+    const char* platform;
+    const char* executor;
+    std::uint64_t digest;
+};
+
+// Captured before the span readers priced through the sim parameter structs.
+constexpr ReaderGolden kReaderGolden[] = {
+    {"committed-lg20", "hpu1", "basic", 0xb7dec2cb02a52c8dull},
+    {"committed-lg20", "hpu1", "advanced", 0xfea7b8ae789b3344ull},
+    {"mergesort-coalesced", "hpu1", "sequential", 0x8a4433f56ef58da9ull},
+    {"mergesort-coalesced", "hpu1", "multicore", 0xdecce882e4a66eb8ull},
+    {"mergesort-coalesced", "hpu1", "gpu", 0xc31d21aac04dedd2ull},
+    {"mergesort-coalesced", "hpu1", "basic", 0x9085f923828bb761ull},
+    {"mergesort-coalesced", "hpu1", "advanced", 0xdba39042c971a263ull},
+    {"mergesort-coalesced", "hpu1", "pipelined", 0x826c7dbbd5228184ull},
+    {"mergesort-coalesced", "hpu2", "sequential", 0xaeb1dbfb25f94e2cull},
+    {"mergesort-coalesced", "hpu2", "multicore", 0xb0f96d232fbd6181ull},
+    {"mergesort-coalesced", "hpu2", "gpu", 0x650e0d043dae11d7ull},
+    {"mergesort-coalesced", "hpu2", "basic", 0x5a2127b294c8db3bull},
+    {"mergesort-coalesced", "hpu2", "advanced", 0x0521a426cdbbe9eeull},
+    {"mergesort-coalesced", "hpu2", "pipelined", 0xe5c037fe62657094ull},
+    {"dc-fft", "hpu1", "sequential", 0xf9d3769b0d18570full},
+    {"dc-fft", "hpu1", "multicore", 0x527fbff03346bab4ull},
+    {"dc-fft", "hpu1", "gpu", 0x623b25b0a90099fbull},
+    {"dc-fft", "hpu1", "basic", 0x8c7bfb98fcdaeb5eull},
+    {"dc-fft", "hpu1", "advanced", 0x32962ee17df50bcdull},
+    {"dc-fft", "hpu1", "pipelined", 0x5b52d034e5b72396ull},
+    {"dc-fft", "hpu2", "sequential", 0x2c7f2e69871547a8ull},
+    {"dc-fft", "hpu2", "multicore", 0x2897a62222dd56abull},
+    {"dc-fft", "hpu2", "gpu", 0x585dcf1a35899fe3ull},
+    {"dc-fft", "hpu2", "basic", 0xf81a87b0b404b36bull},
+    {"dc-fft", "hpu2", "advanced", 0x116205a040941193ull},
+    {"dc-fft", "hpu2", "pipelined", 0xc2c68371e66988f2ull},
+};
+
+std::uint64_t reader_expected(const std::string& alg, const std::string& platform,
+                              const std::string& executor) {
+    for (const ReaderGolden& g : kReaderGolden) {
+        if (alg == g.alg && platform == g.platform && executor == g.executor) return g.digest;
+    }
+    return 0;
+}
+
+void expect_reader(const std::string& alg, const std::string& platform,
+                   const std::string& executor, std::uint64_t got) {
+    char row[160];
+    std::snprintf(row, sizeof row, "    {\"%s\", \"%s\", \"%s\", 0x%016llxull},", alg.c_str(),
+                  platform.c_str(), executor.c_str(), static_cast<unsigned long long>(got));
+    EXPECT_EQ(got, reader_expected(alg, platform, executor)) << row;
+}
+
+template <typename T>
+void reader_sweep(const LevelAlgorithm<T>& alg, std::uint32_t lg, std::uint64_t y) {
+    for (const char* platform : {"hpu1", "hpu2"}) {
+        const sim::HpuParams hw =
+            std::string(platform) == "hpu1" ? platforms::hpu1() : platforms::hpu2();
+        const Config c{hw, lg, 0.25, y, 4};
+        for (int e = 0; e < 6; ++e) {
+            std::vector<T> data(std::uint64_t{1} << lg);
+            sim::Hpu h(hw);
+            trace::TraceSession ts;
+            Digest unused;
+            run_executor(h, e, alg, std::span<T>(data), c, explicit_options(false, &ts), unused);
+            Digest d;
+            absorb(d, obs::what_if(ts, trace::kNoSpan, hw));
+            absorb(d, trace::derive_utilization(ts, hw, alg.recurrence(),
+                                                alg.device_ops_multiplier(hw.gpu)));
+            expect_reader(alg.name(), platform, kExecutors[e], d.value());
+            // The pipelined run streams: more than one chunk each way.
+            if (e == 5) {
+                EXPECT_GT(ts.count(trace::SpanKind::kTransfer), 2u) << platform;
+            }
+        }
+    }
+}
+
+TEST(PlanGolden, SpanPricingReaders) {
+    for (const std::string executor : {"basic", "advanced"}) {
+        const obs::LoadedTrace committed = obs::load_chrome_trace(
+            std::string(HPU_SOURCE_DIR) + "/bench/traces/" + executor + "_hpu1_lg20.json");
+        ASSERT_TRUE(committed.ok()) << committed.error;
+        Digest d;
+        for (trace::SpanId root : committed.session.children(trace::kNoSpan)) {
+            absorb(d, obs::what_if(committed.session, root, platforms::hpu1()));
+        }
+        expect_reader("committed-lg20", "hpu1", executor, d.value());
+    }
+    reader_sweep<std::int32_t>(algos::MergesortCoalesced<std::int32_t>(), 20, 8);
+    reader_sweep<std::complex<double>>(algos::DcFft(), 18, 8);
 }
 
 }  // namespace
