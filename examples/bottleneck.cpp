@@ -16,9 +16,11 @@
 // --check self-validates every report (non-empty chain, blame shares
 // summing to 1, chain contiguous in time) and exits 1 on violation — CI
 // runs it over the committed traces.
+#include <charconv>
 #include <cmath>
 #include <iostream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "obs/critpath.hpp"
@@ -32,12 +34,12 @@ namespace {
 
 using namespace hpu;
 
-sim::HpuParams platform_by_name(const std::string& name) {
-    if (name == "hpu2") return platforms::hpu2();
-    if (name != "hpu1") {
-        std::cerr << "unknown --platform=" << name << ", using hpu1\n";
-    }
-    return platforms::hpu1();
+/// The platform named by --platform; false for an unknown name.
+bool platform_by_name(const std::string& name, sim::HpuParams& out) {
+    if (name == "hpu1") out = platforms::hpu1();
+    else if (name == "hpu2") out = platforms::hpu2();
+    else return false;
+    return true;
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -129,7 +131,12 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    const sim::HpuParams hw = platform_by_name(cli.get("platform", "hpu1"));
+    sim::HpuParams hw;
+    if (!platform_by_name(cli.get("platform", "hpu1"), hw)) {
+        std::cerr << "unknown --platform=" << cli.get("platform", "")
+                  << " (want hpu1|hpu2)\n";
+        return 2;
+    }
     const bool markdown = cli.get_bool("markdown", false);
 
     obs::WhatIfOptions wopts;
@@ -152,9 +159,11 @@ int main(int argc, char** argv) {
     if (cli.has("factors")) {
         wopts.factors.clear();
         for (const std::string& f : split_csv(cli.get("factors", ""))) {
-            const double v = std::stod(f);
-            if (v <= 0.0) {
-                std::cerr << "--factors must be positive, got " << f << "\n";
+            double v = 0.0;
+            const char* end = f.data() + f.size();
+            const auto [ptr, ec] = std::from_chars(f.data(), end, v);
+            if (ec != std::errc{} || ptr != end || !std::isfinite(v) || v <= 0.0) {
+                std::cerr << "--factors wants positive numbers, got '" << f << "'\n";
                 return 2;
             }
             wopts.factors.push_back(v);

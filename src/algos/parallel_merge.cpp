@@ -32,7 +32,7 @@ ParallelGpuReport mergesort_gpu_parallel(sim::Hpu& hpu, std::span<std::int32_t> 
 
     if (!opts.functional) {
         for (std::uint64_t r = 1; r < n; r *= 2) {
-            rep.sort_time += dev.uniform_launch_time(n, item_ops(r));
+            rep.sort_time += dev.params().launch_time(n, item_ops(r));
         }
         return rep;
     }

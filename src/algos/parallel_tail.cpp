@@ -17,7 +17,7 @@ namespace {
 sim::Ticks parallel_merge_level(sim::Device& dev, const std::int32_t* src, std::int32_t* dst,
                                 std::uint64_t n, std::uint64_t run_len, bool functional) {
     const double ops = 2.0 + 1.0 + static_cast<double>(util::ilog2(run_len) + 1);
-    if (!functional) return dev.uniform_launch_time(n, ops);
+    if (!functional) return dev.params().launch_time(n, ops);
     return dev
         .launch(n,
                 [&](sim::WorkItem& wi) {
@@ -90,7 +90,7 @@ ParallelTailReport mergesort_gpu_parallel_tail(sim::Hpu& hpu, std::span<std::int
             const double ops = deep.recurrence().task_cost(static_cast<double>(n),
                                                            static_cast<double>(i)) *
                                deep.device_ops_multiplier(dev.params());
-            rep.deep_kernels += dev.uniform_launch_time(tasks, ops);
+            rep.deep_kernels += dev.params().launch_time(tasks, ops);
         }
     }
     if (opts.functional) {

@@ -335,10 +335,10 @@ inline trace::SpanId trace_analytic_level(const SpanCtx& tc, const std::string& 
 /// Prices a host pass as p-way parallel CPU work and records its kHook
 /// span (skipped when the pass charged nothing). `w0` is a wall_start()
 /// token taken before the pass ran.
-inline sim::Ticks charge_host_pass(const sim::OpCounter& ops, std::size_t p,
+inline sim::Ticks charge_host_pass(const sim::OpCounter& ops, const sim::CpuParams& cpu,
                                    const std::string& name, const char* what, const SpanCtx& tc,
                                    std::uint64_t w0) {
-    const sim::Ticks t = static_cast<sim::Ticks>(ops.cpu_ops()) / static_cast<double>(p);
+    const sim::Ticks t = cpu.host_pass_time(static_cast<double>(ops.cpu_ops()));
     if (tc.on() && t > 0.0) {
         trace::SpanAttrs a;
         a.ops = static_cast<double>(ops.cpu_ops());
@@ -394,6 +394,7 @@ protected:
         if (opts.trace == nullptr) return;
         trace::SpanAttrs a;
         a.items = plan.n;
+        a.cores = plan.hw.cpu.p;
         run_ = opts.trace->record(trace::SpanKind::kRun, trace::Unit::kHost,
                                   phase_label(name_, plan.executor), 0.0, 0.0, a);
         // Profiling stashes the wall start on the open span; close() turns it
@@ -594,7 +595,7 @@ private:
                     const std::uint64_t w0 = tc.wall_start();
                     sim::OpCounter ops;
                     alg_.before_run(data_, ops);
-                    t = charge_host_pass(ops, plan_.hw.cpu.p, name_, "pre", tc, w0);
+                    t = charge_host_pass(ops, plan_.hw.cpu, name_, "pre", tc, w0);
                 }
                 break;
             case StepKind::kHook: t = hook(s, tc); break;
@@ -620,8 +621,8 @@ private:
     }
 
     /// A device hook: its functional callback, or the analytic lump of all
-    /// of them, priced by hook_time. The kHook span is skipped when the hook
-    /// charged nothing (most algorithms have empty hooks).
+    /// of them, priced by DeviceParams::hook_time. The kHook span is skipped
+    /// when the hook charged nothing (most algorithms have empty hooks).
     sim::Ticks hook(const Step& s, const SpanCtx& tc) {
         const bool lump = s.hook == HookCall::kLump;
         const std::uint64_t w0 = lump ? 0 : tc.wall_start();
@@ -635,10 +636,11 @@ private:
             if (s.hook == HookCall::kAfterLevel) alg_.after_gpu_level(view, count, ops);
             if (s.hook == HookCall::kAfterLevels) alg_.after_gpu_levels(view, count, ops);
         }
-        const sim::Ticks t = hook_time(*dev_, ops);
+        const double gpu_ops = ops.gpu_ops(dev_->params().strided_penalty);
+        const sim::Ticks t = dev_->params().hook_time(gpu_ops);
         if (tc.on() && t > 0.0) {
             trace::SpanAttrs a;
-            a.ops = ops.gpu_ops(dev_->params().strided_penalty);
+            a.ops = gpu_ops;
             a.work = static_cast<double>(ops.cpu_ops());
             annotate_wall(tc,
                           tc.session->record(trace::SpanKind::kHook, trace::Unit::kGpu,
@@ -660,10 +662,10 @@ private:
             return gpu ? gpu_sweep(device(s.slice), tasks, leaves, tc)
                        : cpu_sweep(host(s.slice), tasks, leaves, tc);
         }
-        const Price p = leaves ? (gpu ? price_leaves(*dev_, alg_, tasks)
-                                      : price_leaves(cpu_, alg_, tasks))
-                               : (gpu ? price_level(*dev_, alg_, plan_.n, tasks, s.level)
-                                      : price_level(cpu_, alg_, plan_.n, tasks, s.level));
+        const Price p = leaves ? (gpu ? price_leaves(dev_->params(), alg_, tasks)
+                                      : price_leaves(cpu_.params(), alg_, tasks))
+                               : (gpu ? price_level(dev_->params(), alg_, plan_.n, tasks, s.level)
+                                      : price_level(cpu_.params(), alg_, plan_.n, tasks, s.level));
         if (tc.on()) {
             static constexpr const char* kPhase[2][2] = {{"cpu-level", "gpu-level"},
                                                          {"cpu-leaves", "gpu-leaves"}};
@@ -873,10 +875,11 @@ hpu::verify::VerifyReport verify_plan(const Plan& plan, sim::CpuUnit& cpu, sim::
             e.tasks = s.slice.words / size;
             if (e.tasks == 0) continue;
             if (!leaves) e.words = e.tasks * size;
-            const Price pr = leaves ? (gpu ? price_leaves(*dev, alg, e.tasks)
-                                           : price_leaves(cpu, alg, e.tasks))
-                                    : (gpu ? price_level(*dev, alg, plan.n, e.tasks, s.level)
-                                           : price_level(cpu, alg, plan.n, e.tasks, s.level));
+            const Price pr =
+                leaves ? (gpu ? price_leaves(dev->params(), alg, e.tasks)
+                              : price_leaves(cpu.params(), alg, e.tasks))
+                       : (gpu ? price_level(dev->params(), alg, plan.n, e.tasks, s.level)
+                              : price_level(cpu.params(), alg, plan.n, e.tasks, s.level));
             e.work = gpu && !leaves ? pr.ops : pr.work;  // device levels: device-priced ops
             e.label = std::string(gpu ? "gpu" : "cpu") + (leaves ? "-leaves[" : "-level[") +
                       std::to_string(e.tasks) + "]";

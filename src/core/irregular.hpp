@@ -302,7 +302,7 @@ private:
             } else {
                 alg_.finalize(data_, ops);
             }
-            t = charge_host_pass(ops, cpu_.params().p, name_, root ? "pre" : "finalize", tc, w0);
+            t = charge_host_pass(ops, cpu_.params(), name_, root ? "pre" : "finalize", tc, w0);
         }
         advance = t;
         return t;
@@ -337,8 +337,8 @@ private:
         if (!fn_) {
             const double cost = alg_.analytic_task_cost(plan_.n, s.level);
             const double work = cost * static_cast<double>(count);
-            t = gpu ? dev_->uniform_launch_time(count, cost * mult_)
-                    : cpu_.uniform_level_time(count, cost, ws);
+            t = gpu ? dev_->params().launch_time(count, cost * mult_)
+                    : cpu_.params().level_time(count, cost, ws);
             if (tc.on()) {
                 id = trace_analytic_level(tc, name_, gpu ? "gpu-level" : "cpu-level", s.unit,
                                           count, work, gpu ? work * mult_ : work, t,

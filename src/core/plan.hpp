@@ -17,9 +17,10 @@
 // field each block charges (Tally), and how the run total is summed
 // (Total).
 //
-// This header also owns the level/leaf/hook pricing every reader shares:
-// the interpreter's analytic mode, the verifier, and the pipelined
-// never-worse guard.
+// This header also owns the level/leaf pricing of an algorithm, over the
+// unit cost functions of sim/params.hpp, that every reader shares: the
+// interpreter's analytic mode, the verifier, and the pipelined never-worse
+// guard.
 #pragma once
 
 #include <algorithm>
@@ -29,7 +30,6 @@
 
 #include "core/level_algorithm.hpp"
 #include "model/basic.hpp"
-#include "sim/cpu_unit.hpp"
 #include "sim/device.hpp"
 #include "sim/params.hpp"
 #include "trace/span.hpp"
@@ -49,43 +49,38 @@ struct Price {
 };
 
 template <typename T>
-Price price_level(const sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::uint64_t n,
+Price price_level(const sim::CpuParams& cpu, const LevelAlgorithm<T>& alg, std::uint64_t n,
                   std::uint64_t tasks, std::uint64_t level) {
     const double each =
         alg.recurrence().task_cost(static_cast<double>(n), static_cast<double>(level));
     const double work = static_cast<double>(tasks) * each;
-    return {cpu.uniform_level_time(tasks, each, alg.level_working_set_bytes(n)), work, work};
+    return {cpu.level_time(tasks, each, alg.level_working_set_bytes(n)), work, work};
 }
 
 template <typename T>
-Price price_level(const sim::Device& dev, const LevelAlgorithm<T>& alg, std::uint64_t n,
+Price price_level(const sim::DeviceParams& dev, const LevelAlgorithm<T>& alg, std::uint64_t n,
                   std::uint64_t tasks, std::uint64_t level) {
     const double each =
         alg.recurrence().task_cost(static_cast<double>(n), static_cast<double>(level));
-    const double ops = each * alg.device_ops_multiplier(dev.params());
-    return {dev.uniform_launch_time(tasks, ops), static_cast<double>(tasks) * each,
+    const double ops = each * alg.device_ops_multiplier(dev);
+    return {dev.launch_time(tasks, ops), static_cast<double>(tasks) * each,
             static_cast<double>(tasks) * ops};
 }
 
 template <typename T>
-Price price_leaves(const sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::uint64_t count) {
+Price price_leaves(const sim::CpuParams& cpu, const LevelAlgorithm<T>& alg, std::uint64_t count) {
     const double leaf = alg.recurrence().leaf_cost;
     const double work = static_cast<double>(count) * leaf;
-    return {cpu.uniform_level_time(count, leaf), work, work};
+    return {cpu.level_time(count, leaf), work, work};
 }
 
+/// Leaf sweeps charge plain compute: no device op multiplier.
 template <typename T>
-Price price_leaves(const sim::Device& dev, const LevelAlgorithm<T>& alg, std::uint64_t count) {
+Price price_leaves(const sim::DeviceParams& dev, const LevelAlgorithm<T>& alg,
+                   std::uint64_t count) {
     const double leaf = alg.recurrence().leaf_cost;
     const double work = static_cast<double>(count) * leaf;
-    return {dev.uniform_launch_time(count, leaf), work, work};
-}
-
-/// Virtual time of a device-side hook (permutation, ping-pong flip):
-/// charged as perfectly parallel device work spread over all g lanes.
-inline sim::Ticks hook_time(const sim::Device& dev, const sim::OpCounter& ops) {
-    return ops.gpu_ops(dev.params().strided_penalty) / dev.params().gamma /
-           static_cast<double>(dev.params().g);
+    return {dev.launch_time(count, leaf), work, work};
 }
 
 // ------------------------------------------------------------ the plan
@@ -538,14 +533,15 @@ PipelineChoice choose_pipeline(const LevelAlgorithm<T>& alg, const sim::Device& 
     }
     auto level_time = [&](std::uint64_t region, std::uint64_t i) -> sim::Ticks {
         const std::uint64_t tasks = region / task_size(i);
-        return tasks == 0 ? 0.0 : price_level(dev, alg, n, tasks, i).time;
+        return tasks == 0 ? 0.0 : price_level(dev.params(), alg, n, tasks, i).time;
     };
     auto leaves_time = [&](std::uint64_t region) -> sim::Ticks {
         const std::uint64_t count = region / alg.base_size();
-        return count == 0 ? 0.0 : price_leaves(dev, alg, count).time;
+        return count == 0 ? 0.0 : price_leaves(dev.params(), alg, count).time;
     };
     auto hook_est = [&](std::uint64_t region) -> sim::Ticks {
-        return hook_time(dev, alg.analytic_gpu_hook_ops(region));
+        return dev.params().hook_time(
+            alg.analytic_gpu_hook_ops(region).gpu_ops(dev.params().strided_penalty));
     };
     auto span_estimate = [&](const std::vector<ChunkPlan>& p, std::uint64_t dd) -> sim::Ticks {
         sim::Ticks in_end = 0.0, free = 0.0;

@@ -29,12 +29,6 @@ SpanId phase_ancestor(const TraceSession& session, const Span& s) {
     return trace::kNoSpan;
 }
 
-SpanId run_root(const TraceSession& session, const Span& s) {
-    SpanId id = s.id;
-    while (session.span(id).parent != trace::kNoSpan) id = session.span(id).parent;
-    return id;
-}
-
 }  // namespace
 
 ProfileReport derive_profile(const TraceSession& session,
@@ -54,7 +48,7 @@ ProfileReport derive_profile(const TraceSession& session,
         // robust to future annotators).
         if (s.kind == SpanKind::kPhase) continue;
         epoch = std::min(epoch, s.wall_start_ns);
-        const SpanId root = run_root(session, s);
+        const SpanId root = trace::run_root(session, s.id);
         auto [eit, fresh] = exec_of.try_emplace(root, r.executors.size());
         if (fresh) {
             const Span& rs = session.span(root);

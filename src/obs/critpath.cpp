@@ -17,24 +17,6 @@ using trace::SpanId;
 using trace::SpanKind;
 using trace::TraceSession;
 
-/// Work spans are the schedulable leaves of the precedence DAG. Waves are
-/// excluded (they duplicate their level span on the same clock), run/phase
-/// spans are grouping only.
-bool is_work(const Span& s) noexcept {
-    switch (s.kind) {
-        case SpanKind::kLevel:
-        case SpanKind::kLeaves:
-        case SpanKind::kTransfer:
-        case SpanKind::kHook:
-            return true;
-        case SpanKind::kRun:
-        case SpanKind::kPhase:
-        case SpanKind::kWave:
-            return false;
-    }
-    return false;
-}
-
 CritResource resource_of(const Span& s) noexcept {
     switch (s.kind) {
         case SpanKind::kTransfer: return CritResource::kLink;
@@ -49,12 +31,6 @@ CritResource resource_of(const Span& s) noexcept {
 std::string canonical(const std::string& label) {
     const std::size_t at = label.find('[');
     return at == std::string::npos ? label : label.substr(0, at);
-}
-
-std::vector<std::vector<SpanId>> child_index(const TraceSession& s) {
-    std::vector<std::vector<SpanId>> ch(s.spans().size() + 1);
-    for (const Span& sp : s.spans()) ch[sp.parent].push_back(sp.id);
-    return ch;
 }
 
 /// All span ids in the subtree under `root`, root excluded.
@@ -262,7 +238,7 @@ CritPathReport extract_critical_path(const trace::TraceSession& session,
     CritPathReport rep;
     if (session.spans().empty()) return rep;
     if (run_root > session.spans().size()) return rep;
-    const auto ch = child_index(session);
+    const auto ch = trace::child_index(session);
     if (run_root == trace::kNoSpan) {
         if (ch[trace::kNoSpan].empty()) return rep;
         run_root = ch[trace::kNoSpan].front();
@@ -283,7 +259,8 @@ CritPathReport extract_critical_path(const trace::TraceSession& session,
     std::vector<SpanId> work;
     for (SpanId id : subtree_of(ch, run_root)) {
         const Span& s = session.span(id);
-        if (is_work(s) && s.duration() > 0.0) work.push_back(id);
+        // Work spans are the schedulable leaves of the precedence DAG.
+        if (trace::is_work(s) && s.duration() > 0.0) work.push_back(id);
     }
     rep.chain = walk_chain(session, work, run, tol);
 

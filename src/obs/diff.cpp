@@ -37,13 +37,6 @@ struct Key {
     }
 };
 
-/// Direct children of every span, one vector per parent (index 0 = roots).
-std::vector<std::vector<SpanId>> child_index(const TraceSession& s) {
-    std::vector<std::vector<SpanId>> ch(s.spans().size() + 1);
-    for (const Span& sp : s.spans()) ch[sp.parent].push_back(sp.id);
-    return ch;
-}
-
 struct DiffBuilder {
     const TraceSession& base;
     const TraceSession& cand;
@@ -53,8 +46,8 @@ struct DiffBuilder {
     TraceDiff out;
 
     DiffBuilder(const TraceSession& b, const TraceSession& c, const DiffOptions& o)
-        : base(b), cand(c), opts(o), base_children(child_index(b)),
-          cand_children(child_index(c)) {}
+        : base(b), cand(c), opts(o), base_children(trace::child_index(b)),
+          cand_children(trace::child_index(c)) {}
 
     /// Sums durations / wall / irregular-shape attrs over a span-id list on
     /// one session (extent words sum; imbalance keeps the worst skew).

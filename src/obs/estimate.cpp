@@ -5,6 +5,7 @@
 #include <ostream>
 #include <vector>
 
+#include "util/math.hpp"
 #include "util/table.hpp"
 
 namespace hpu::obs {

@@ -21,49 +21,22 @@
 //        the residual is attributed to λ and both are flagged
 //        non-identifiable.
 //
-// The file also hosts the shared drift primitives (price_level_span,
-// drift_ratio) that trace/utilization.cpp and metrics/profile.cpp price
-// their drift columns with. They are header-only inline functions so the
-// lower-layer libraries can use them without linking hpu_obs.
+// The file also hosts the shared drift ratio that trace/utilization.cpp and
+// metrics/profile.cpp report their drift columns with. It is header-only so
+// the lower-layer libraries can use it without linking hpu_obs.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 
-#include "model/recurrence.hpp"
 #include "sim/params.hpp"
 #include "trace/span.hpp"
-#include "util/math.hpp"
 
 namespace hpu::obs {
 
 // ---------------------------------------------------------------------------
-// Shared drift primitives.
-
-/// hpu::model price of one level/leaves span on its unit (pure §5 model: no
-/// contention, no imbalance — that is exactly what drift exposes). `n` is
-/// the run's total input size, `rec`/`dev_mult` the algorithm's recurrence
-/// and device op multiplier.
-inline sim::Ticks price_level_span(const trace::Span& s, double n, const sim::HpuParams& hw,
-                                   const model::Recurrence& rec, double dev_mult) {
-    const double tasks = static_cast<double>(s.attrs.tasks);
-    if (tasks <= 0.0) return 0.0;
-    const double task_cost = s.kind == trace::SpanKind::kLeaves
-                                 ? rec.leaf_cost
-                                 : rec.task_cost(n, static_cast<double>(s.attrs.level));
-    if (s.unit != trace::Unit::kGpu) {
-        const auto rounds = static_cast<double>(
-            util::ceil_div(s.attrs.tasks, static_cast<std::uint64_t>(hw.cpu.p)));
-        return rounds * task_cost;
-    }
-    const auto waves = static_cast<double>(util::ceil_div(s.attrs.tasks, hw.gpu.g));
-    // Leaf sweeps charge plain compute (no memory walk), so the device op
-    // multiplier applies only to internal levels — mirroring the analytic
-    // executor paths.
-    const double mult = s.kind == trace::SpanKind::kLeaves ? 1.0 : dev_mult;
-    return hw.gpu.launch_overhead + waves * task_cost * mult / hw.gpu.gamma;
-}
+// Shared drift ratio.
 
 /// Observed / predicted (or wall / virtual): the one drift ratio every
 /// report shares. 0 when the predicted side charged nothing.

@@ -332,6 +332,7 @@ LoadedTrace parse_chrome_trace(std::istream& is) {
         a.strided_transactions = u64_or(*args, "strided_transactions", 0);
         a.extent_words = u64_or(*args, "extent_words", 0);
         a.imbalance = args->num_or("imbalance", 0.0);
+        a.cores = u64_or(*args, "cores", 0);
         // Wall stamps in the export are rebased to the session epoch; keep
         // the rebased values (only differences are meaningful anyway).
         s.wall_ns = u64_or(*args, "wall_ns", 0);

@@ -6,9 +6,6 @@
 #include <ostream>
 #include <utility>
 
-#include "model/advanced.hpp"
-#include "model/basic.hpp"
-#include "model/pipeline.hpp"
 #include "util/table.hpp"
 
 namespace hpu::obs {
@@ -19,10 +16,6 @@ using trace::SpanId;
 using trace::SpanKind;
 using trace::TraceSession;
 
-double ceil_div(double num, double den) {
-    return den <= 0.0 ? num : std::ceil(num / den);
-}
-
 /// Every field the replay prices. Bitwise equality here lets a factor-1.0
 /// replay short-circuit to the recorded makespan instead of re-deriving it
 /// through non-associative float sums.
@@ -32,66 +25,20 @@ bool priced_equal(const sim::HpuParams& a, const sim::HpuParams& b) noexcept {
            a.gpu.launch_overhead == b.gpu.launch_overhead;
 }
 
-bool is_work(const Span& s) noexcept {
+/// What one work span costs on `hw`: the unit cost functions of
+/// sim/params.hpp applied to the span's recorded shape. CPU levels carry no
+/// working set, so cache contention is not re-priced.
+sim::Ticks price_span(const Span& s, const sim::HpuParams& hw) {
+    const bool gpu = s.unit == trace::Unit::kGpu;
     switch (s.kind) {
+        case SpanKind::kTransfer: return hw.link.transfer_time(s.attrs.items);
+        case SpanKind::kHook:
+            return gpu ? hw.gpu.hook_time(s.attrs.ops) : hw.cpu.host_pass_time(s.attrs.ops);
         case SpanKind::kLevel:
         case SpanKind::kLeaves:
-        case SpanKind::kTransfer:
-        case SpanKind::kHook:
-            return true;
-        case SpanKind::kRun:
-        case SpanKind::kPhase:
-        case SpanKind::kWave:
-            return false;
-    }
-    return false;
-}
-
-/// duration(perturbed) / duration(configured) for one work span, through
-/// the same closed forms the executors charge. Parameters a span does not
-/// touch scale it by exactly 1.0.
-double scale_of(const Span& s, const sim::HpuParams& base, const sim::HpuParams& pert) {
-    switch (s.kind) {
-        case SpanKind::kTransfer: {
-            const sim::Ticks b = base.link.transfer_time(s.attrs.items);
-            const sim::Ticks p = pert.link.transfer_time(s.attrs.items);
-            return b > 0.0 ? p / b : 1.0;
-        }
-        case SpanKind::kHook:
-            if (s.unit == trace::Unit::kGpu) {
-                // Device hook bodies are priced ops / (γ·g).
-                return (base.gpu.gamma * static_cast<double>(base.gpu.g)) /
-                       (pert.gpu.gamma * static_cast<double>(pert.gpu.g));
-            }
-            // Host pre-passes are priced ops / p.
-            return static_cast<double>(base.cpu.p) / static_cast<double>(pert.cpu.p);
-        case SpanKind::kLevel:
-        case SpanKind::kLeaves: {
-            const double tasks =
-                static_cast<double>(std::max<std::uint64_t>(s.attrs.tasks, 1));
-            if (s.unit == trace::Unit::kGpu) {
-                // overhead + waves · max_ops / γ, waves = ceil(tasks / g).
-                // The device-ops multiplier on max_ops cancels in the ratio.
-                const double waves_b = ceil_div(tasks, static_cast<double>(base.gpu.g));
-                const double waves_p = ceil_div(tasks, static_cast<double>(pert.gpu.g));
-                if (s.attrs.max_ops > 0.0) {
-                    const double tb = base.gpu.launch_overhead +
-                                      waves_b * s.attrs.max_ops / base.gpu.gamma;
-                    const double tp = pert.gpu.launch_overhead +
-                                      waves_p * s.attrs.max_ops / pert.gpu.gamma;
-                    return tb > 0.0 ? tp / tb : 1.0;
-                }
-                return (base.gpu.gamma / pert.gpu.gamma) *
-                       (waves_b > 0.0 ? waves_p / waves_b : 1.0);
-            }
-            // CPU levels: ceil(tasks / p) rounds of one task cost each; the
-            // task cost cancels. (Cache contention is not re-priced — it is
-            // 0 on the stock platforms.)
-            return ceil_div(tasks, static_cast<double>(pert.cpu.p)) /
-                   ceil_div(tasks, static_cast<double>(base.cpu.p));
-        }
-        default:
-            return 1.0;
+            return gpu ? hw.gpu.launch_time(s.attrs.tasks, s.attrs.max_ops)
+                       : hw.cpu.level_time(s.attrs.tasks, s.attrs.max_ops);
+        default: return 0.0;
     }
 }
 
@@ -109,7 +56,11 @@ struct Repricer {
 
     sim::Ticks new_duration(SpanId id) const {
         const Span& sp = session.span(id);
-        if (is_work(sp)) return sp.duration() * scale_of(sp, base, pert);
+        if (trace::is_work(sp)) {
+            // Parameters a span does not touch scale it by exactly 1.0.
+            const sim::Ticks b = price_span(sp, base);
+            return b > 0.0 ? sp.duration() * (price_span(sp, pert) / b) : sp.duration();
+        }
         std::vector<SpanId> kids;
         for (SpanId c : ch[id]) {
             if (session.span(c).kind != SpanKind::kWave) kids.push_back(c);
@@ -147,31 +98,13 @@ struct Repricer {
     }
 };
 
-std::vector<std::vector<SpanId>> child_index(const TraceSession& s) {
-    std::vector<std::vector<SpanId>> ch(s.spans().size() + 1);
-    for (const Span& sp : s.spans()) ch[sp.parent].push_back(sp.id);
-    return ch;
-}
-
-SpanId resolve_root(const TraceSession& session, SpanId run_root) {
-    if (session.spans().empty()) return trace::kNoSpan;
-    if (run_root > session.spans().size()) return trace::kNoSpan;
-    if (run_root != trace::kNoSpan) return run_root;
-    for (const Span& s : session.spans()) {
-        if (s.parent == trace::kNoSpan) return s.id;
-    }
-    return trace::kNoSpan;
-}
-
-double configured_value(const sim::HpuParams& hw, WhatIfParam p,
-                        std::uint64_t chunks) noexcept {
+double configured_value(const sim::HpuParams& hw, WhatIfParam p) noexcept {
     switch (p) {
         case WhatIfParam::kG: return static_cast<double>(hw.gpu.g);
         case WhatIfParam::kGamma: return hw.gpu.gamma;
         case WhatIfParam::kLambda: return hw.link.lambda;
         case WhatIfParam::kDelta: return hw.link.delta;
         case WhatIfParam::kWorkers: return static_cast<double>(hw.cpu.p);
-        case WhatIfParam::kChunks: return static_cast<double>(chunks);
     }
     return 0.0;
 }
@@ -206,7 +139,6 @@ const char* to_string(WhatIfParam p) noexcept {
         case WhatIfParam::kLambda: return "lambda";
         case WhatIfParam::kDelta: return "delta";
         case WhatIfParam::kWorkers: return "workers";
-        case WhatIfParam::kChunks: return "chunks";
     }
     return "?";
 }
@@ -217,7 +149,6 @@ bool parse_param(std::string_view name, WhatIfParam& out) noexcept {
     else if (name == "lambda") out = WhatIfParam::kLambda;
     else if (name == "delta") out = WhatIfParam::kDelta;
     else if (name == "p" || name == "workers") out = WhatIfParam::kWorkers;
-    else if (name == "k" || name == "chunks") out = WhatIfParam::kChunks;
     else return false;
     return true;
 }
@@ -227,7 +158,6 @@ bool improves_up(WhatIfParam p) noexcept {
         case WhatIfParam::kG:
         case WhatIfParam::kGamma:
         case WhatIfParam::kWorkers:
-        case WhatIfParam::kChunks:
             return true;
         case WhatIfParam::kLambda:
         case WhatIfParam::kDelta:
@@ -258,8 +188,6 @@ sim::HpuParams perturb(const sim::HpuParams& hw, WhatIfParam p, double factor) {
                 1, static_cast<std::size_t>(
                        std::llround(static_cast<double>(hw.cpu.p) * factor)));
             break;
-        case WhatIfParam::kChunks:
-            break;  // not a machine parameter
     }
     return out;
 }
@@ -340,11 +268,11 @@ void WhatIfReport::print_markdown(std::ostream& os) const {
 sim::Ticks reprice_run(const trace::TraceSession& session, trace::SpanId run_root,
                        const sim::HpuParams& configured,
                        const sim::HpuParams& perturbed) {
-    const SpanId root = resolve_root(session, run_root);
+    const SpanId root = trace::run_root(session, run_root);
     if (root == trace::kNoSpan) return 0.0;
     const Span& run = session.span(root);
     if (priced_equal(configured, perturbed)) return run.duration();
-    const auto ch = child_index(session);
+    const auto ch = trace::child_index(session);
     const sim::Ticks tol = 1e-9 * std::max(1.0, run.duration());
     return Repricer{session, ch, configured, perturbed, tol}.new_duration(root);
 }
@@ -352,78 +280,19 @@ sim::Ticks reprice_run(const trace::TraceSession& session, trace::SpanId run_roo
 WhatIfReport what_if(const trace::TraceSession& session, trace::SpanId run_root,
                      const sim::HpuParams& hw, const WhatIfOptions& opts) {
     WhatIfReport rep;
-    const SpanId root = resolve_root(session, run_root);
+    const SpanId root = trace::run_root(session, run_root);
     if (root == trace::kNoSpan) return rep;
     rep.attempted = true;
     rep.baseline = session.span(root).duration();
+    const sim::HpuParams base = trace::run_machine(session.span(root), hw);
     for (WhatIfParam p : opts.params) {
-        if (p == WhatIfParam::kChunks) continue;  // a recorded run cannot re-chunk
         WhatIfCurve curve;
         curve.param = p;
-        curve.configured = configured_value(hw, p, 0);
+        curve.configured = configured_value(base, p);
         for (double f : opts.factors) {
             WhatIfPoint pt;
             pt.factor = f;
-            pt.predicted = reprice_run(session, root, hw, perturb(hw, p, f));
-            pt.speedup = pt.predicted > 0.0 ? rep.baseline / pt.predicted : 1.0;
-            curve.points.push_back(pt);
-        }
-        rank_curve(curve, rep.baseline);
-        rep.curves.push_back(std::move(curve));
-    }
-    return rep;
-}
-
-sim::Ticks price_model(const sim::HpuParams& hw, const ModelPoint& mp) {
-    switch (mp.kind) {
-        case ScheduleKind::kBasic: {
-            const model::BasicPrediction b =
-                model::predict_basic(hw, mp.rec, mp.n, mp.words_per_transfer);
-            return b.total_time + b.transfer_time;
-        }
-        case ScheduleKind::kAdvanced: {
-            model::AdvancedModel m(hw, mp.rec, mp.n);
-            if (mp.words_per_transfer > 0.0) m.set_words_per_transfer(mp.words_per_transfer);
-            const model::AdvancedPrediction a =
-                mp.alpha > 0.0 ? m.predict_at(mp.alpha, mp.y) : m.optimize();
-            return a.total_time;
-        }
-        case ScheduleKind::kPipelined: {
-            model::PipelinedModel m(hw, mp.rec, mp.n);
-            m.set_device_ops_multiplier(mp.device_ops_multiplier);
-            const std::uint64_t k = std::max<std::uint64_t>(1, mp.chunks);
-            return m.predict_at(mp.alpha, mp.y, k).total_time;
-        }
-    }
-    return 0.0;
-}
-
-WhatIfReport what_if_model(const sim::HpuParams& hw, const ModelPoint& mp,
-                           const WhatIfOptions& opts) {
-    WhatIfReport rep;
-    if (mp.n <= 0.0) return rep;
-    rep.attempted = true;
-    rep.baseline = price_model(hw, mp);
-    for (WhatIfParam p : opts.params) {
-        if (p == WhatIfParam::kChunks &&
-            (mp.kind != ScheduleKind::kPipelined || mp.chunks == 0)) {
-            continue;
-        }
-        WhatIfCurve curve;
-        curve.param = p;
-        curve.configured = configured_value(hw, p, mp.chunks);
-        for (double f : opts.factors) {
-            WhatIfPoint pt;
-            pt.factor = f;
-            if (p == WhatIfParam::kChunks) {
-                ModelPoint scaled = mp;
-                scaled.chunks = std::max<std::uint64_t>(
-                    1, static_cast<std::uint64_t>(
-                           std::llround(static_cast<double>(mp.chunks) * f)));
-                pt.predicted = price_model(hw, scaled);
-            } else {
-                pt.predicted = price_model(perturb(hw, p, f), mp);
-            }
+            pt.predicted = reprice_run(session, root, base, perturb(base, p, f));
             pt.speedup = pt.predicted > 0.0 ? rep.baseline / pt.predicted : 1.0;
             curve.points.push_back(pt);
         }

@@ -178,14 +178,6 @@ public:
         return r;
     }
 
-    /// Pure cost query (no execution): time for `n_items` uniform items of
-    /// `ops_each` GPU ops. Used by the analytical fast path and the model
-    /// tests: ceil(n/g) · ops_each / γ (+ launch overhead).
-    Ticks uniform_launch_time(std::uint64_t n_items, double ops_each) const noexcept {
-        const auto waves = static_cast<double>(util::ceil_div(n_items, params_.g));
-        return params_.launch_overhead + waves * ops_each / params_.gamma;
-    }
-
 private:
     DeviceParams params_;
     DeviceStats stats_;

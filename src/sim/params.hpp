@@ -14,12 +14,19 @@
 //     memory transactions and makes the §6.3 permutation optimization
 //     measurable. The CPU charges every word 1 op (sequential access in a
 //     task is cache-friendly).
+//
+// The price of a uniform step on each unit is written once, as the pure
+// member functions below (level_time, host_pass_time, launch_time,
+// hook_time, transfer_time). The analytic interpreter, the verifier, the
+// drift report and the what-if replay all price through them.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
 #include "util/check.hpp"
+#include "util/math.hpp"
 
 namespace hpu::sim {
 
@@ -49,6 +56,19 @@ struct DeviceParams {
         HPU_CHECK(strided_penalty >= 1.0, "strided penalty must be >= 1");
         HPU_CHECK(launch_overhead >= 0.0, "launch overhead must be >= 0");
     }
+
+    /// A launch of `items` uniform items of `each` device ops:
+    /// overhead + ceil(items / g) · each / γ.
+    Ticks launch_time(std::uint64_t items, double each) const noexcept {
+        const auto waves = static_cast<double>(util::ceil_div(items, g));
+        return launch_overhead + waves * each / gamma;
+    }
+
+    /// A device hook (permutation, ping-pong flip) of `ops` device ops,
+    /// charged as perfectly parallel work over all g lanes: ops / γ / g.
+    Ticks hook_time(double ops) const noexcept {
+        return ops / gamma / static_cast<double>(g);
+    }
 };
 
 /// Multi-core CPU parameters.
@@ -70,6 +90,30 @@ struct CpuParams {
         HPU_CHECK(llc_bytes >= 1, "LLC capacity must be positive");
         HPU_CHECK(contention >= 0.0, "contention must be >= 0");
     }
+
+    /// Multiplier modeling LLC competition between cores (Fig. 8 gap):
+    /// 1 + contention · log2(ws / llc) when more than one core is active
+    /// and the working set exceeds the cache. 1 otherwise.
+    double contention_factor(std::uint64_t tasks, std::uint64_t working_set_bytes) const noexcept {
+        if (contention <= 0.0 || tasks <= 1 || p <= 1) return 1.0;
+        if (working_set_bytes <= llc_bytes) return 1.0;
+        const double ratio =
+            static_cast<double>(working_set_bytes) / static_cast<double>(llc_bytes);
+        return 1.0 + contention * std::log2(ratio);
+    }
+
+    /// A level of `tasks` uniform tasks of `each` ops:
+    /// ceil(tasks / p) · each, times the contention factor (0 = no
+    /// working set, no contention).
+    Ticks level_time(std::uint64_t tasks, double each,
+                     std::uint64_t working_set_bytes = 0) const noexcept {
+        const auto rounds = static_cast<double>(util::ceil_div(tasks, p));
+        return rounds * each * contention_factor(tasks, working_set_bytes);
+    }
+
+    /// A host pass (pre-pass, root pass, finalize) of `ops` ops, charged
+    /// as p-way parallel work: ops / p.
+    Ticks host_pass_time(double ops) const noexcept { return ops / static_cast<double>(p); }
 };
 
 /// CPU↔GPU link: transferring w words takes λ + δ·w ticks (§3.2).

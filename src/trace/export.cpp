@@ -78,6 +78,7 @@ void write_args(std::ostream& os, const Span& s, std::uint64_t wall_epoch,
     }
     if (s.attrs.extent_words != 0) os << ",\"extent_words\":" << s.attrs.extent_words;
     if (s.attrs.imbalance != 0.0) os << ",\"imbalance\":" << s.attrs.imbalance;
+    if (s.attrs.cores != 0) os << ",\"cores\":" << s.attrs.cores;
     if (extra != nullptr) {
         for (const auto& [key, value] : *extra) {
             os << ",\"" << json_escape(key) << "\":" << value;

@@ -67,6 +67,7 @@ void TraceSession::annotate(SpanId id, const SpanAttrs& attrs) {
     if (attrs.strided_transactions != 0) a.strided_transactions = attrs.strided_transactions;
     if (attrs.extent_words != 0) a.extent_words = attrs.extent_words;
     if (attrs.imbalance != 0.0) a.imbalance = attrs.imbalance;
+    if (attrs.cores != 0) a.cores = attrs.cores;
 }
 
 void TraceSession::annotate_wall(SpanId id, std::uint64_t wall_start_ns,
@@ -101,6 +102,45 @@ std::vector<SpanId> TraceSession::children(SpanId id) const {
     for (const Span& s : spans_) {
         if (s.parent == id) out.push_back(s.id);
     }
+    return out;
+}
+
+bool is_work(const Span& s) noexcept {
+    switch (s.kind) {
+        case SpanKind::kLevel:
+        case SpanKind::kLeaves:
+        case SpanKind::kTransfer:
+        case SpanKind::kHook:
+            return true;
+        case SpanKind::kRun:
+        case SpanKind::kPhase:
+        case SpanKind::kWave:
+            return false;
+    }
+    return false;
+}
+
+std::vector<std::vector<SpanId>> child_index(const TraceSession& session) {
+    std::vector<std::vector<SpanId>> ch(session.spans().size() + 1);
+    for (const Span& s : session.spans()) ch[s.parent].push_back(s.id);
+    return ch;
+}
+
+SpanId run_root(const TraceSession& session, SpanId id) {
+    if (id > session.spans().size()) return kNoSpan;
+    if (id == kNoSpan) {
+        for (const Span& s : session.spans()) {
+            if (s.parent == kNoSpan) return s.id;
+        }
+        return kNoSpan;
+    }
+    while (session.span(id).parent != kNoSpan) id = session.span(id).parent;
+    return id;
+}
+
+sim::HpuParams run_machine(const Span& root, const sim::HpuParams& hw) {
+    sim::HpuParams out = hw;
+    if (root.attrs.cores != 0) out.cpu.p = static_cast<std::size_t>(root.attrs.cores);
     return out;
 }
 

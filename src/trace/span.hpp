@@ -75,6 +75,9 @@ struct SpanAttrs {
     /// them to explain uneven trees.
     std::uint64_t extent_words = 0;
     double imbalance = 0.0;
+    /// Run roots: the CPU core count the run's plan priced its CPU steps
+    /// with (1 for sequential runs). 0 = not recorded (older trace files).
+    std::uint64_t cores = 0;
 };
 
 /// 1-based handle into TraceSession::spans(); 0 = "no span".
@@ -140,5 +143,26 @@ public:
 private:
     std::vector<Span> spans_;
 };
+
+// Span-tree helpers every reader of a session shares.
+
+/// Work spans occupy their unit for their duration: levels, leaf sweeps,
+/// hooks and transfers. Run and phase spans group them; a wave span is
+/// contained in its level span.
+bool is_work(const Span& s) noexcept;
+
+/// Direct children of every span, one vector per parent (index kNoSpan =
+/// the roots), in recording order.
+std::vector<std::vector<SpanId>> child_index(const TraceSession& session);
+
+/// The run root of span `id`: its parentless ancestor (itself for a root).
+/// kNoSpan picks the session's first root. Returns kNoSpan for an empty
+/// session or an id out of range.
+SpanId run_root(const TraceSession& session, SpanId id);
+
+/// `hw` as the run under root span `root` was priced: with the CPU core
+/// count the root recorded. A root without one (an older trace file) keeps
+/// `hw`'s.
+sim::HpuParams run_machine(const Span& root, const sim::HpuParams& hw);
 
 }  // namespace hpu::trace

@@ -6,21 +6,9 @@
 #include <sstream>
 
 #include "obs/estimate.hpp"
-#include "util/math.hpp"
 #include "util/table.hpp"
 
 namespace hpu::trace {
-namespace {
-
-/// Work spans are the ones that occupy a unit for their duration: levels,
-/// leaf sweeps, hooks, and transfers. Run/phase spans group them; wave
-/// spans are contained in their level span.
-bool is_work_span(const Span& s) noexcept {
-    return s.kind == SpanKind::kLevel || s.kind == SpanKind::kLeaves ||
-           s.kind == SpanKind::kHook || s.kind == SpanKind::kTransfer;
-}
-
-}  // namespace
 
 UtilizationReport derive_utilization(const TraceSession& session, const sim::HpuParams& hw,
                                      const model::Recurrence& rec,
@@ -29,16 +17,11 @@ UtilizationReport derive_utilization(const TraceSession& session, const sim::Hpu
     const auto& spans = session.spans();
     if (spans.empty()) return rep;
 
-    // Traced interval and per-span root (parents precede children, so one
-    // forward pass resolves the chains).
-    sim::Ticks lo = spans.front().start, hi = spans.front().end;
-    std::vector<SpanId> root_of(spans.size() + 1, kNoSpan);
+    // Every run starts at virtual 0, so the session interval is the sum of
+    // the run-root durations, not their union.
     for (const Span& s : spans) {
-        lo = std::min(lo, s.start);
-        hi = std::max(hi, s.end);
-        root_of[s.id] = s.parent == kNoSpan ? s.id : root_of[s.parent];
+        if (s.parent == kNoSpan) rep.interval += s.duration();
     }
-    rep.interval = hi - lo;
 
     UnitUtilization cpu{Unit::kCpu, 0, 0, 0, 0}, gpu{Unit::kGpu, 0, 0, 0, 0},
         link{Unit::kLink, 0, 0, 0, 0};
@@ -46,6 +29,9 @@ UtilizationReport derive_utilization(const TraceSession& session, const sim::Hpu
     double level_wave_time = 0.0, level_lane_time = 0.0;
     double words = 0.0;
     std::map<std::uint64_t, LevelDrift> by_level;
+    SpanId run = kNoSpan;  // run root of the spans being priced
+    sim::CpuParams cpu_hw = hw.cpu;
+    double n = 0.0;
 
     for (const Span& s : spans) {
         if (s.kind == SpanKind::kWave) {
@@ -54,7 +40,7 @@ UtilizationReport derive_utilization(const TraceSession& session, const sim::Hpu
                               static_cast<double>(hw.gpu.g);
             continue;
         }
-        if (!is_work_span(s)) continue;
+        if (!is_work(s)) continue;
         UnitUtilization* u = nullptr;
         switch (s.unit) {
             case Unit::kCpu: u = &cpu; break;
@@ -77,13 +63,28 @@ UtilizationReport derive_utilization(const TraceSession& session, const sim::Hpu
                                    (static_cast<double>(s.attrs.waves) *
                                     static_cast<double>(hw.gpu.g));
             }
-            const double n = static_cast<double>(session.span(root_of[s.id]).attrs.items);
+            if (const SpanId root = run_root(session, s.id); root != run) {
+                run = root;
+                cpu_hw = run_machine(session.span(root), hw).cpu;
+                n = static_cast<double>(session.span(root).attrs.items);
+            }
             LevelDrift& d = by_level[s.attrs.level];
             d.level = s.attrs.level;
             (s.unit == Unit::kGpu ? d.on_gpu : d.on_cpu) = true;
             d.tasks += s.attrs.tasks;
             d.observed += s.duration();
-            d.predicted += obs::price_level_span(s, n, hw, rec, device_ops_multiplier);
+            // The pure §5 price (no contention, no imbalance: exactly what
+            // drift exposes). Leaf sweeps charge plain compute, so the
+            // device op multiplier applies only to internal levels.
+            const bool leaves = s.kind == SpanKind::kLeaves;
+            const double each =
+                leaves ? rec.leaf_cost : rec.task_cost(n, static_cast<double>(s.attrs.level));
+            if (s.attrs.tasks > 0) {
+                d.predicted += s.unit == Unit::kGpu
+                                   ? hw.gpu.launch_time(s.attrs.tasks,
+                                                        leaves ? each : each * device_ops_multiplier)
+                                   : cpu_hw.level_time(s.attrs.tasks, each);
+            }
         }
     }
 

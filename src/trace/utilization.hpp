@@ -23,7 +23,7 @@ struct UnitUtilization {
     Unit unit = Unit::kCpu;
     sim::Ticks busy = 0.0;      ///< summed work-span durations on this unit
     sim::Ticks idle = 0.0;      ///< traced interval minus busy
-    double utilization = 0.0;   ///< busy / traced interval
+    double utilization = 0.0;   ///< busy / traced interval, in [0, 1]
     double work = 0.0;          ///< CPU-normalized ops completed on this unit
 };
 
@@ -40,9 +40,12 @@ struct LevelDrift {
 };
 
 /// The derived report. All quantities come from span data alone (plus the
-/// machine parameters and recurrence needed to price the model side).
+/// machine parameters and recurrence needed to price the model side). Over
+/// a session of several runs, each of which starts at virtual 0, every
+/// figure is an explicit aggregate: sums over all runs, divided by the
+/// summed run-root durations.
 struct UtilizationReport {
-    sim::Ticks interval = 0.0;        ///< traced interval (first start..last end)
+    sim::Ticks interval = 0.0;        ///< traced interval: summed run-root durations
     std::vector<UnitUtilization> units;  ///< cpu, gpu, link (in that order)
     double gpu_lane_occupancy = 0.0;  ///< time-weighted busy lanes / g
     double link_utilization = 0.0;    ///< link busy / interval
@@ -59,8 +62,10 @@ struct UtilizationReport {
 
 /// Derives the report. `rec` and `device_ops_multiplier` must describe the
 /// algorithm that produced the trace (LevelAlgorithm::recurrence() /
-/// ::device_ops_multiplier()); `hw` the machine it ran on. The input size n
-/// is taken from the run root's `items` attribute.
+/// ::device_ops_multiplier()); `hw` the machine it ran on. Each level span
+/// is priced against its own run: the input size n is the run root's
+/// `items` attribute, and the CPU core count the root's `cores` (see
+/// trace::run_machine).
 UtilizationReport derive_utilization(const TraceSession& session, const sim::HpuParams& hw,
                                      const model::Recurrence& rec,
                                      double device_ops_multiplier = 1.0);

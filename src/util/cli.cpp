@@ -1,10 +1,32 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <system_error>
+#include <type_traits>
 
 #include "util/check.hpp"
 
 namespace hpu::util {
+namespace {
+
+/// Parses all of `text` as a T; anything else (empty, trailing characters,
+/// out of range, not finite) throws an HpuError naming the flag.
+template <typename T>
+T parse_number(const std::string& name, const std::string& text, const char* what) {
+    T v{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    bool ok = !text.empty() && ec == std::errc{} && ptr == end;
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+    if (!ok) {
+        throw HpuError("--" + name + "=" + text + " is not " + what +
+                       " (values use --" + name + "=<value>)");
+    }
+    return v;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
     for (int i = 1; i < argc; ++i) {
@@ -32,13 +54,13 @@ std::string Cli::get(const std::string& name, const std::string& def) const {
 std::int64_t Cli::get_int(const std::string& name, std::int64_t def) const {
     const auto it = flags_.find(name);
     if (it == flags_.end()) return def;
-    return std::strtoll(it->second.c_str(), nullptr, 10);
+    return parse_number<std::int64_t>(name, it->second, "an integer");
 }
 
 double Cli::get_double(const std::string& name, double def) const {
     const auto it = flags_.find(name);
     if (it == flags_.end()) return def;
-    return std::strtod(it->second.c_str(), nullptr);
+    return parse_number<double>(name, it->second, "a number");
 }
 
 bool Cli::get_bool(const std::string& name, bool def) const {

@@ -1,6 +1,7 @@
 // Minimal command-line flag parsing for the bench and example binaries.
 // Values use the --name=value form; a bare --name is a boolean switch;
-// everything else is positional.
+// everything else is positional. get_int / get_double throw an HpuError
+// naming the flag when its value is not entirely a number.
 #pragma once
 
 #include <cstdint>

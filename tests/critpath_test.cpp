@@ -3,9 +3,9 @@
 // exclusion, attachment to ExecReport::obs under observe, the
 // hpu_critpath_* gauges, bit-exact unperturbed replay, the 10% accuracy
 // contract of observed-path what-if predictions against actually
-// perturbed re-runs (γ, λ, workers at lg n = 20 and 24), the model path,
-// Chrome round-trips of the decorations, and the crit-bottleneck
-// watchdog finding.
+// perturbed re-runs (γ, λ, workers at lg n = 20 and 24), pricing against
+// the run's recorded core count, Chrome round-trips of the decorations,
+// and the crit-bottleneck watchdog finding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -281,30 +281,35 @@ TEST(WhatIf, PredictionsWithinTenPercentOfPerturbedRerunsLg24) {
     expect_whatif_accurate(1ull << 24, 10);
 }
 
-TEST(WhatIf, ModelPathFactorOneMatchesBaselineAndRanks) {
+TEST(WhatIf, PricesARunAgainstItsRecordedCores) {
+    // A multicore run on a 1-core unit, analysed with the caller's 4-core
+    // machine: the replay starts from the one core the run recorded, so
+    // workers x2 is an analytic re-run on 2 cores.
     algos::MergesortCoalesced<std::int32_t> alg;
+    std::vector<std::int32_t> dummy(1 << 16);
     const sim::HpuParams hw = platforms::hpu1();
-    obs::ModelPoint mp;
-    mp.kind = obs::ScheduleKind::kAdvanced;
-    mp.rec = alg.recurrence();
-    mp.n = static_cast<double>(1ull << 20);
-    mp.alpha = 0.25;
-    mp.y = 8.0;
+    ASSERT_EQ(hw.cpu.p, 4u);
+    auto record = [&](std::size_t cores, trace::TraceSession& ts) {
+        sim::CpuParams cpu = hw.cpu;
+        cpu.p = cores;
+        sim::CpuUnit unit(cpu);
+        ExecOptions opts;
+        opts.functional = false;
+        opts.trace = &ts;
+        return run_multicore(unit, alg, std::span(dummy), opts);
+    };
+    trace::TraceSession one, two;
+    record(1, one);
+    const ExecReport rerun = record(2, two);
 
-    const sim::Ticks baseline = obs::price_model(hw, mp);
-    ASSERT_GT(baseline, 0.0);
-    const obs::WhatIfReport w = obs::what_if_model(hw, mp);
-    ASSERT_TRUE(w.attempted);
-    EXPECT_EQ(w.baseline, baseline);
-    for (const obs::WhatIfCurve& c : w.curves) {
-        for (const obs::WhatIfPoint& p : c.points) {
-            if (p.factor == 1.0) {
-                EXPECT_EQ(p.predicted, baseline) << obs::to_string(c.param);
-            }
-        }
-    }
-    ASSERT_NE(w.top(), nullptr);
-    EXPECT_GE(w.top()->gain, 1.0);
+    obs::WhatIfOptions opts;
+    opts.params = {obs::WhatIfParam::kWorkers};
+    opts.factors = {2.0};
+    const obs::WhatIfReport w = obs::what_if(one, trace::kNoSpan, hw, opts);
+    ASSERT_EQ(w.curves.size(), 1u);
+    EXPECT_EQ(w.curves[0].configured, 1.0);
+    ASSERT_EQ(w.curves[0].points.size(), 1u);
+    EXPECT_NEAR(w.curves[0].points[0].predicted, rerun.total, 1e-9 * rerun.total);
 }
 
 // ------------------------------------------------- decorations round-trip

@@ -23,6 +23,7 @@
 #include "obs/estimate.hpp"
 #include "obs/trace_io.hpp"
 #include "obs/watchdog.hpp"
+#include "obs/whatif.hpp"
 #include "platforms/platforms.hpp"
 #include "trace/export.hpp"
 #include "util/rng.hpp"
@@ -562,6 +563,52 @@ TEST(TraceIo, ChromeRoundTripPreservesVirtualAndWall) {
         EXPECT_EQ(l.attrs.items, s.attrs.items) << s.label;
         EXPECT_EQ(l.attrs.waves, s.attrs.waves) << s.label;
         EXPECT_EQ(l.attrs.max_ops, s.attrs.max_ops) << s.label;
+    }
+}
+
+TEST(TraceIo, ChromeRoundTripKeepsRunCores) {
+    // Each run root records the core count its plan priced with; the
+    // re-imported session carries it, so what-if prices both alike.
+    algos::MergesortCoalesced<std::int32_t> alg;
+    std::vector<std::int32_t> dummy(1 << 14);
+    const sim::HpuParams hw = platforms::hpu1();
+    sim::Hpu h(hw);
+    trace::TraceSession session;
+    ExecOptions opts;
+    opts.functional = false;
+    opts.trace = &session;
+    run_sequential(h.cpu(), alg, std::span(dummy), opts);
+    run_multicore(h.cpu(), alg, std::span(dummy), opts);
+    AdvancedOptions adv;
+    adv.exec = opts;
+    run_advanced_hybrid(h, alg, std::span(dummy), 0.25, 6, adv);
+    const std::vector<trace::SpanId> roots = session.children(trace::kNoSpan);
+    ASSERT_EQ(roots.size(), 3u);
+    EXPECT_EQ(session.span(roots[0]).attrs.cores, 1u);
+    EXPECT_EQ(session.span(roots[1]).attrs.cores, hw.cpu.p);
+    EXPECT_EQ(session.span(roots[2]).attrs.cores, hw.cpu.p);
+
+    std::ostringstream os;
+    trace::export_chrome(session, os);
+    std::istringstream is(os.str());
+    const obs::LoadedTrace loaded = obs::parse_chrome_trace(is);
+    ASSERT_TRUE(loaded.ok()) << loaded.error;
+    ASSERT_EQ(loaded.session.spans().size(), session.spans().size());
+    for (const trace::Span& s : session.spans()) {
+        EXPECT_EQ(loaded.session.span(s.id).attrs.cores, s.attrs.cores) << s.label;
+    }
+    for (trace::SpanId root : roots) {
+        const obs::WhatIfReport a = obs::what_if(session, root, hw);
+        const obs::WhatIfReport b = obs::what_if(loaded.session, root, hw);
+        EXPECT_EQ(b.baseline, a.baseline);
+        ASSERT_EQ(b.curves.size(), a.curves.size());
+        for (std::size_t i = 0; i < a.curves.size(); ++i) {
+            EXPECT_EQ(b.curves[i].configured, a.curves[i].configured);
+            ASSERT_EQ(b.curves[i].points.size(), a.curves[i].points.size());
+            for (std::size_t j = 0; j < a.curves[i].points.size(); ++j) {
+                EXPECT_EQ(b.curves[i].points[j].predicted, a.curves[i].points[j].predicted);
+            }
+        }
     }
 }
 

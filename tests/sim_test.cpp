@@ -104,7 +104,7 @@ TEST(Device, LaunchOverheadAdds) {
 TEST(Device, UniformLaunchTimeMatchesExecution) {
     Device dev(small_device(8, 0.125));
     const auto r = dev.launch(20, [](WorkItem& wi) { wi.charge_compute(5); });
-    EXPECT_DOUBLE_EQ(r.time, dev.uniform_launch_time(20, 5.0));
+    EXPECT_DOUBLE_EQ(r.time, dev.params().launch_time(20, 5.0));
 }
 
 TEST(Device, StatsAccumulateAndReset) {
@@ -218,7 +218,7 @@ TEST(Buffer, EventTraceRecordsOpsAndPriorState) {
 
 TEST(CpuUnit, UniformLevelMatchesClosedForm) {
     CpuUnit cpu(CpuParams{.p = 4});
-    EXPECT_DOUBLE_EQ(cpu.uniform_level_time(10, 5.0), 15.0);  // ceil(10/4)*5
+    EXPECT_DOUBLE_EQ(cpu.params().level_time(10, 5.0), 15.0);  // ceil(10/4)*5
 }
 
 TEST(CpuUnit, RunLevelMeasuresMakespan) {
@@ -236,17 +236,17 @@ TEST(CpuUnit, RunLevelMeasuresMakespan) {
 TEST(CpuUnit, ContentionInflatesLargeWorkingSets) {
     CpuParams p{.p = 4, .llc_bytes = 1 << 20, .contention = 0.1};
     CpuUnit cpu(p);
-    const double base = cpu.uniform_level_time(8, 100.0, 1 << 20);
-    const double hot = cpu.uniform_level_time(8, 100.0, 4u << 20);  // 4x LLC
+    const double base = cpu.params().level_time(8, 100.0, 1 << 20);
+    const double hot = cpu.params().level_time(8, 100.0, 4u << 20);  // 4x LLC
     EXPECT_DOUBLE_EQ(base, 200.0);
     EXPECT_DOUBLE_EQ(hot, 200.0 * (1.0 + 0.1 * 2.0));  // log2(4) = 2
     // Single task → no contention regardless of working set.
-    EXPECT_DOUBLE_EQ(cpu.uniform_level_time(1, 100.0, 64u << 20), 100.0);
+    EXPECT_DOUBLE_EQ(cpu.params().level_time(1, 100.0, 64u << 20), 100.0);
 }
 
 TEST(CpuUnit, ContentionDisabledByDefaultPlatforms) {
     CpuUnit cpu(CpuParams{});
-    EXPECT_DOUBLE_EQ(cpu.contention_factor(100, 1ull << 40), 1.0);
+    EXPECT_DOUBLE_EQ(cpu.params().contention_factor(100, 1ull << 40), 1.0);
 }
 
 TEST(MemoryModel, FullyCoalescedWave) {

@@ -13,8 +13,10 @@
 #include <sstream>
 
 #include "algos/binary_reduce.hpp"
+#include "algos/fft.hpp"
 #include "algos/mergesort.hpp"
 #include "core/hybrid.hpp"
+#include "core/pipeline.hpp"
 #include "model/advanced.hpp"
 #include "platforms/platforms.hpp"
 #include "trace/counters.hpp"
@@ -542,6 +544,70 @@ TEST(Utilization, BasicHybridShowsIdleCpuAdvancedKeepsBothBusy) {
     EXPECT_GT(au.units[0].utilization, bu.units[0].utilization);
     EXPECT_GT(au.units[0].utilization, 0.85);
     EXPECT_LT(bu.units[0].utilization, au.units[0].utilization - 0.05);
+}
+
+/// The utilization report of one analytic session holding a run of each
+/// of the six executors, every run starting at virtual 0.
+template <typename T>
+trace::UtilizationReport six_executor_session(const LevelAlgorithm<T>& alg, std::uint64_t n,
+                                              const sim::HpuParams& hw) {
+    std::vector<T> dummy(n);
+    const std::span<T> data(dummy);
+    sim::Hpu h(hw);
+    trace::TraceSession session;
+    ExecOptions opts;
+    opts.functional = false;
+    opts.trace = &session;
+    run_sequential(h.cpu(), alg, data, opts);
+    run_multicore(h.cpu(), alg, data, opts);
+    run_gpu(h, alg, data, opts);
+    run_basic_hybrid(h, alg, data, opts);
+    AdvancedOptions adv;
+    adv.exec = opts;
+    run_advanced_hybrid(h, alg, data, 0.25, 8, adv);
+    PipelinedOptions pip;
+    pip.exec = opts;
+    pip.chunks = 4;
+    run_pipelined_hybrid(h, alg, data, 0.25, 8, pip);
+    EXPECT_EQ(session.children(trace::kNoSpan).size(), 6u);
+    return trace::derive_utilization(session, hw, alg.recurrence(),
+                                     alg.device_ops_multiplier(hw.gpu));
+}
+
+template <typename Fn>
+void for_each_six_executor_session(Fn&& check) {
+    for (const sim::HpuParams& hw : {platforms::hpu1(), platforms::hpu2()}) {
+        SCOPED_TRACE(hw.name);
+        ASSERT_EQ(hw.cpu.contention, 0.0);
+        check(six_executor_session(algos::MergesortCoalesced<std::int32_t>(), 1 << 16, hw));
+        check(six_executor_session(algos::make_sum<std::int32_t>(), 1 << 16, hw));
+        check(six_executor_session(algos::DcFft(), 1 << 14, hw));
+    }
+}
+
+TEST(Utilization, SixExecutorSessionHasUnitDrift) {
+    // Each level is priced against its own run's core count, the
+    // sequential run's single core included.
+    for_each_six_executor_session([](const trace::UtilizationReport& u) {
+        ASSERT_FALSE(u.levels.empty());
+        for (const auto& d : u.levels) EXPECT_NEAR(d.drift, 1.0, 1e-9) << "level " << d.level;
+    });
+}
+
+TEST(Utilization, SixExecutorSessionUtilizationIsAShare) {
+    // Busy time summed over the runs, over their summed durations.
+    for_each_six_executor_session([](const trace::UtilizationReport& u) {
+        ASSERT_EQ(u.units.size(), 3u);
+        for (const auto& x : u.units) {
+            EXPECT_GE(x.utilization, 0.0) << trace::to_string(x.unit);
+            EXPECT_LE(x.utilization, 1.0) << trace::to_string(x.unit);
+        }
+        EXPECT_GT(u.units[0].utilization, 0.0);
+        EXPECT_GT(u.units[1].utilization, 0.0);
+        EXPECT_GE(u.gpu_lane_occupancy, 0.0);
+        EXPECT_LE(u.gpu_lane_occupancy, 1.0);
+        EXPECT_EQ(u.link_utilization, u.units[2].utilization);
+    });
 }
 
 TEST(Utilization, WorkedExample522FromSpanDataAlone) {

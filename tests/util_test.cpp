@@ -350,6 +350,31 @@ TEST(Cli, ParsesFlagsAndPositional) {
     EXPECT_EQ(cli.get_int("missing", -7), -7);
 }
 
+TEST(Cli, RejectsValuesThatAreNotEntirelyNumbers) {
+    const char* argv[] = {"prog",          "--lgmin",    "16",        "--n=16x", "--empty=",
+                          "--big=99999999999999999999", "--huge=1e999", "--nan=nan",
+                          "--neg=-3",      "--x=2.5e-3"};
+    Cli cli(10, argv);
+    // A bare switch ("--lgmin 16" instead of "--lgmin=16") is not a value.
+    EXPECT_THROW(cli.get_int("lgmin", 0), HpuError);
+    EXPECT_THROW(cli.get_double("lgmin", 0.0), HpuError);
+    EXPECT_THROW(cli.get_int("n", 0), HpuError);
+    EXPECT_THROW(cli.get_double("n", 0.0), HpuError);
+    EXPECT_THROW(cli.get_int("empty", 0), HpuError);
+    EXPECT_THROW(cli.get_double("empty", 0.0), HpuError);
+    EXPECT_THROW(cli.get_int("big", 0), HpuError);
+    EXPECT_THROW(cli.get_double("huge", 0.0), HpuError);
+    EXPECT_THROW(cli.get_double("nan", 0.0), HpuError);
+    EXPECT_THROW(cli.get_int("x", 0), HpuError);
+    EXPECT_EQ(cli.get_int("neg", 0), -3);
+    EXPECT_DOUBLE_EQ(cli.get_double("x", 0.0), 2.5e-3);
+    try {
+        cli.get_int("n", 0);
+    } catch (const HpuError& e) {
+        EXPECT_NE(std::string(e.what()).find("--n=16x"), std::string::npos) << e.what();
+    }
+}
+
 TEST(Rng, Deterministic) {
     Rng a(123), b(123);
     EXPECT_EQ(a.int_vector(32, 0, 100), b.int_vector(32, 0, 100));

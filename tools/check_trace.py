@@ -20,6 +20,13 @@ ancestor's (modulo the 1 ns clamp), and grouping-only spans (phase, wave)
 are never annotated. --require-wall turns "no annotated spans at all" into
 a failure, for fixtures that ran with --profile.
 
+Every run root must also leave room for the work under it: per unit, the
+summed durations of the work spans below a root (level, leaves, hook,
+transfer; waves are contained in their level) fit in the root's duration.
+Host-track spans count as CPU work, as in trace::derive_utilization. A
+unit busy for longer than its run means a span was double-booked, or the
+run closed before its work ended.
+
 Critical-path decorations (obs/critpath.hpp, exported through
 trace::ChromeExtras) are validated when present: flow events ("s"/"f"
 pairs sharing an id, each referencing a real span) must pair up one start
@@ -39,7 +46,8 @@ irregular-tree export (dynamic task lists: uneven level widths, empty
 branches, per-level extent_words / imbalance args) — the shape contract is
 the same as for regular trees: run → phase → level → wave, every child
 nested in its parent — and a critical-path-annotated variant plus the
-negative cases (broken chain index, blame shares off 1, dangling flow).
+negative cases (broken chain index, blame shares off 1, dangling flow, a
+unit busy for longer than its run).
 """
 
 import argparse
@@ -114,6 +122,32 @@ def check_nesting(complete):
     if roots == 0 and complete:
         fail("no root span (every span has a parent)")
     return by_id
+
+
+WORK_KINDS = {"level", "leaves", "hook", "transfer"}
+
+
+def check_busy(complete, by_id, tracks):
+    """Per run root and unit, the summed work-span durations fit in the
+    root's duration (host-track work occupies the CPU)."""
+    def root_of(ev):
+        while ev["args"]["parent"] != 0:
+            ev = by_id[ev["args"]["parent"]]
+        return ev["args"]["span_id"]
+
+    busy = {}  # (root span_id, unit) -> ticks
+    for ev in complete:
+        if ev["cat"] not in WORK_KINDS:
+            continue
+        unit = tracks.get(ev["tid"])
+        unit = "cpu" if unit == "host" else unit
+        key = (root_of(ev), unit)
+        busy[key] = busy.get(key, 0.0) + ev["dur"]
+    for (root, unit), ticks in sorted(busy.items()):
+        dur = by_id[root]["dur"]
+        if ticks > dur + EPS * max(abs(dur), 1.0):
+            fail(f"{unit} is busy for {ticks} ticks under root {root} "
+                 f"('{by_id[root]['name']}'), longer than the run's {dur}")
 
 
 def check_wall(complete, by_id, require_wall):
@@ -318,6 +352,7 @@ def check_doc(doc, min_spans=1, expect_chunks=None, require_wall=False):
         fail(f"only {len(complete)} spans, expected at least {min_spans}")
 
     by_id = check_nesting(complete)
+    check_busy(complete, by_id, tracks)
     annotated = check_wall(complete, by_id, require_wall)
     check_flows(flows, by_id)
     check_critpath(complete, by_id)
@@ -448,6 +483,15 @@ def self_test():
                              if ev.get("args", {}).get("span_id") != 8]
     expect_fail(orphan, "wave with a missing parent level")
 
+    # ...and so must a second CPU level booked over the others: the CPU
+    # would be busy for 110 of the run's 100 ticks.
+    double = irregular_fixture()
+    double["traceEvents"].append(
+        {"ph": "X", "name": "cpu-level", "cat": "level", "pid": 1, "tid": 1,
+         "ts": 36.0, "dur": 30.0,
+         "args": {"span_id": 14, "parent": 3, "level": 2, "tasks": 1}})
+    expect_fail(double, "CPU busy for longer than its run")
+
     # The decorated export passes as-is...
     crit = crit_fixture()
     check_doc(crit, min_spans=13)
@@ -482,7 +526,8 @@ def self_test():
 
     print(f"check_trace: self-test OK ({spans} fixture spans, irregular "
           f"widths nest run -> phase -> level -> wave; critical-path "
-          f"decorations round-trip and the broken variants are rejected)")
+          f"decorations round-trip and the broken variants, a double-booked "
+          f"CPU included, are rejected)")
 
 
 def main():
