@@ -236,13 +236,9 @@ void CritPathReport::print(std::ostream& os) const {
 CritPathReport extract_critical_path(const trace::TraceSession& session,
                                      trace::SpanId run_root) {
     CritPathReport rep;
-    if (session.spans().empty()) return rep;
-    if (run_root > session.spans().size()) return rep;
+    if (run_root == trace::kNoSpan) run_root = trace::run_root(session, trace::kNoSpan);
+    if (run_root == trace::kNoSpan || run_root > session.spans().size()) return rep;
     const auto ch = trace::child_index(session);
-    if (run_root == trace::kNoSpan) {
-        if (ch[trace::kNoSpan].empty()) return rep;
-        run_root = ch[trace::kNoSpan].front();
-    }
     const Span& run = session.span(run_root);
 
     rep.attempted = true;

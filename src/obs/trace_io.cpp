@@ -1,5 +1,6 @@
 #include "obs/trace_io.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
@@ -247,11 +248,18 @@ bool unit_of(const std::string& name, Unit& out) {
     return true;
 }
 
-std::uint64_t u64_or(const Json& args, const std::string& key, std::uint64_t def) {
+/// args[key] when it is a count (a non-negative integer below 2^64), else
+/// `def`; a number that is not a count also names `key` in `bad`.
+std::uint64_t u64_or(const Json& args, const std::string& key, std::uint64_t def,
+                     std::string& bad) {
     const Json* v = args.find(key);
-    return v != nullptr && v->type == Json::Type::kNumber
-               ? static_cast<std::uint64_t>(v->number)
-               : def;
+    if (v == nullptr || v->type != Json::Type::kNumber) return def;
+    const double x = v->number;
+    if (!(x >= 0.0 && x < 0x1p64 && x == std::floor(x))) {
+        if (bad.empty()) bad = key;
+        return def;
+    }
+    return static_cast<std::uint64_t>(x);
 }
 
 }  // namespace
@@ -298,9 +306,10 @@ LoadedTrace parse_chrome_trace(std::istream& is) {
             out.error = "X event without args";
             return out;
         }
+        std::string bad;  // first args key holding a number that is not a count
         Span s;
-        s.id = static_cast<SpanId>(u64_or(*args, "span_id", 0));
-        s.parent = static_cast<SpanId>(u64_or(*args, "parent", 0));
+        s.id = static_cast<SpanId>(u64_or(*args, "span_id", 0, bad));
+        s.parent = static_cast<SpanId>(u64_or(*args, "parent", 0, bad));
         if (s.id == trace::kNoSpan) {
             out.error = "X event without span_id";
             return out;
@@ -320,23 +329,27 @@ LoadedTrace parse_chrome_trace(std::istream& is) {
         s.start = ev.num_or("ts", 0.0);
         s.end = s.start + ev.num_or("dur", 0.0);
         SpanAttrs& a = s.attrs;
-        a.level = u64_or(*args, "level", SpanAttrs::kNoLevel);
-        a.tasks = u64_or(*args, "tasks", 0);
-        a.items = u64_or(*args, "items", 0);
-        a.waves = u64_or(*args, "waves", 0);
+        a.level = u64_or(*args, "level", SpanAttrs::kNoLevel, bad);
+        a.tasks = u64_or(*args, "tasks", 0, bad);
+        a.items = u64_or(*args, "items", 0, bad);
+        a.waves = u64_or(*args, "waves", 0, bad);
         a.ops = args->num_or("ops", 0.0);
         a.max_ops = args->num_or("max_ops", 0.0);
         a.work = args->num_or("work", 0.0);
-        a.bytes = u64_or(*args, "bytes", 0);
-        a.coalesced_transactions = u64_or(*args, "coalesced_transactions", 0);
-        a.strided_transactions = u64_or(*args, "strided_transactions", 0);
-        a.extent_words = u64_or(*args, "extent_words", 0);
+        a.bytes = u64_or(*args, "bytes", 0, bad);
+        a.coalesced_transactions = u64_or(*args, "coalesced_transactions", 0, bad);
+        a.strided_transactions = u64_or(*args, "strided_transactions", 0, bad);
+        a.extent_words = u64_or(*args, "extent_words", 0, bad);
         a.imbalance = args->num_or("imbalance", 0.0);
-        a.cores = u64_or(*args, "cores", 0);
+        a.cores = u64_or(*args, "cores", 0, bad);
         // Wall stamps in the export are rebased to the session epoch; keep
         // the rebased values (only differences are meaningful anyway).
-        s.wall_ns = u64_or(*args, "wall_ns", 0);
-        s.wall_start_ns = s.wall_ns != 0 ? u64_or(*args, "wall_start_ns", 0) : 0;
+        s.wall_ns = u64_or(*args, "wall_ns", 0, bad);
+        s.wall_start_ns = s.wall_ns != 0 ? u64_or(*args, "wall_start_ns", 0, bad) : 0;
+        if (!bad.empty()) {
+            out.error = "args." + bad + " is not a non-negative integer";
+            return out;
+        }
 
         if (recs.size() < s.id) recs.resize(s.id);
         if (recs[s.id - 1].seen) {

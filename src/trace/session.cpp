@@ -98,11 +98,7 @@ sim::Ticks TraceSession::span_end() const noexcept {
 }
 
 std::vector<SpanId> TraceSession::children(SpanId id) const {
-    std::vector<SpanId> out;
-    for (const Span& s : spans_) {
-        if (s.parent == id) out.push_back(s.id);
-    }
-    return out;
+    return id <= spans_.size() ? child_index(*this)[id] : std::vector<SpanId>{};
 }
 
 bool is_work(const Span& s) noexcept {

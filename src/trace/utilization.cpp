@@ -29,9 +29,6 @@ UtilizationReport derive_utilization(const TraceSession& session, const sim::Hpu
     double level_wave_time = 0.0, level_lane_time = 0.0;
     double words = 0.0;
     std::map<std::uint64_t, LevelDrift> by_level;
-    SpanId run = kNoSpan;  // run root of the spans being priced
-    sim::CpuParams cpu_hw = hw.cpu;
-    double n = 0.0;
 
     for (const Span& s : spans) {
         if (s.kind == SpanKind::kWave) {
@@ -63,11 +60,8 @@ UtilizationReport derive_utilization(const TraceSession& session, const sim::Hpu
                                    (static_cast<double>(s.attrs.waves) *
                                     static_cast<double>(hw.gpu.g));
             }
-            if (const SpanId root = run_root(session, s.id); root != run) {
-                run = root;
-                cpu_hw = run_machine(session.span(root), hw).cpu;
-                n = static_cast<double>(session.span(root).attrs.items);
-            }
+            const Span& root = session.span(run_root(session, s.id));
+            const double n = static_cast<double>(root.attrs.items);
             LevelDrift& d = by_level[s.attrs.level];
             d.level = s.attrs.level;
             (s.unit == Unit::kGpu ? d.on_gpu : d.on_cpu) = true;
@@ -79,11 +73,11 @@ UtilizationReport derive_utilization(const TraceSession& session, const sim::Hpu
             const bool leaves = s.kind == SpanKind::kLeaves;
             const double each =
                 leaves ? rec.leaf_cost : rec.task_cost(n, static_cast<double>(s.attrs.level));
+            const double gpu_each = leaves ? each : each * device_ops_multiplier;
             if (s.attrs.tasks > 0) {
                 d.predicted += s.unit == Unit::kGpu
-                                   ? hw.gpu.launch_time(s.attrs.tasks,
-                                                        leaves ? each : each * device_ops_multiplier)
-                                   : cpu_hw.level_time(s.attrs.tasks, each);
+                                   ? hw.gpu.launch_time(s.attrs.tasks, gpu_each)
+                                   : run_machine(root, hw).cpu.level_time(s.attrs.tasks, each);
             }
         }
     }

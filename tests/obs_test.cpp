@@ -617,6 +617,18 @@ TEST(TraceIo, ParseRejectsGarbage) {
     EXPECT_FALSE(obs::parse_chrome_trace(not_json).ok());
     std::istringstream no_events("{\"foo\": 1}");
     EXPECT_FALSE(obs::parse_chrome_trace(no_events).ok());
+    // A count that is negative, fractional or past 2^64 is a named error.
+    for (const char* cores : {"-4", "2.5", "1e30"}) {
+        std::istringstream bad_count(
+            std::string("{\"traceEvents\": [{\"ph\": \"M\", \"name\": \"thread_name\", "
+                        "\"tid\": 0, \"args\": {\"name\": \"host\"}}, {\"ph\": \"X\", "
+                        "\"name\": \"run\", \"cat\": \"run\", \"tid\": 0, \"ts\": 0, "
+                        "\"dur\": 1, \"args\": {\"span_id\": 1, \"parent\": 0, \"cores\": ") +
+            cores + "}}]}");
+        const obs::LoadedTrace t = obs::parse_chrome_trace(bad_count);
+        EXPECT_FALSE(t.ok()) << cores;
+        EXPECT_NE(t.error.find("cores"), std::string::npos) << t.error;
+    }
 }
 
 TEST(TraceIo, CopySubtreeExtractsOneRunOfMany) {
