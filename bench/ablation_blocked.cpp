@@ -6,7 +6,7 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     const std::uint64_t n = static_cast<std::uint64_t>(cli.get_int("n", 1 << 18));
@@ -40,3 +40,5 @@ int main(int argc, char** argv) {
                  " level also removes a kernel launch)\n";
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

@@ -3,7 +3,7 @@
 // kernel against the interleaved-layout (coalesced) kernel, per input size.
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     const int lg_max = static_cast<int>(cli.get_int("lgmax", 20));
@@ -34,3 +34,5 @@ int main(int argc, char** argv) {
     bench::emit(t, cli);
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

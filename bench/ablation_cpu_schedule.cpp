@@ -4,7 +4,7 @@
 #include "common.hpp"
 #include "util/makespan.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     const std::size_t cores = static_cast<std::size_t>(cli.get_int("p", 4));
@@ -43,3 +43,5 @@ int main(int argc, char** argv) {
                  " order loses nothing; LPT only matters for irregular extensions)\n";
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

@@ -7,7 +7,7 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     const std::uint64_t n = static_cast<std::uint64_t>(cli.get_int("n", 1 << 20));
@@ -39,3 +39,5 @@ int main(int argc, char** argv) {
                  " kernels stop saturating the device)\n";
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

@@ -14,7 +14,7 @@
 #include "common.hpp"
 #include "util/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     const std::uint64_t n = static_cast<std::uint64_t>(cli.get_int("n", 1 << 20));
@@ -85,3 +85,5 @@ int main(int argc, char** argv) {
                 alg.device_ops_multiplier(traced_hw.gpu));
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

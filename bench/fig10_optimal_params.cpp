@@ -4,7 +4,7 @@
 // the model predicts. The paper observes the two converging as n grows.
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     const int lg_max = static_cast<int>(cli.get_int("lgmax", 24));
@@ -47,3 +47,5 @@ int main(int argc, char** argv) {
     std::cout << "\n(paper: found and predicted values converge as n grows)\n";
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

@@ -5,7 +5,7 @@
 // GPU doing ≈ 52 % of the work, transfer level ≈ 10.
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     const auto n = static_cast<double>(cli.get_int("n", 1 << 24));
@@ -28,3 +28,5 @@ int main(int argc, char** argv) {
               << "   (paper: alpha*~0.16, y~10, share~52%)\n";
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

@@ -2,7 +2,7 @@
 // HPU1 at n = 2²⁴ — which unit owns which levels at the optimal (α*, y).
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     const auto n = static_cast<double>(cli.get_int("n", 1 << 24));
@@ -35,3 +35,5 @@ int main(int argc, char** argv) {
               << "(paper's Fig. 4: alpha~0.16 -> slices 0.16n / 0.84n, y=10)\n";
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

@@ -8,7 +8,7 @@
 // sweep itself stays untraced so the exported trace holds one clean run.
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     const auto n = static_cast<std::uint64_t>(cli.get_int("n", 1 << 24));
@@ -78,3 +78,5 @@ int main(int argc, char** argv) {
     }
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

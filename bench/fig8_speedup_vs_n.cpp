@@ -9,7 +9,7 @@
 // guard settled on — the overlap win appears at transfer-bound sizes.
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     const int lg_max = static_cast<int>(cli.get_int("lgmax", 24));
@@ -78,3 +78,5 @@ int main(int argc, char** argv) {
                  " here with --contention=" << contention << ")\n";
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

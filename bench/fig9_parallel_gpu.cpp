@@ -11,7 +11,7 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     const int lg_max = static_cast<int>(cli.get_int("lgmax", 24));
@@ -51,3 +51,5 @@ int main(int argc, char** argv) {
                  " speedups only clearly beat the hybrid's ~4.5x for large inputs)\n";
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

@@ -105,7 +105,7 @@ void write_json(const std::string& path, std::size_t host_concurrency,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     util::Cli cli(argc, argv);
     const std::size_t hc = std::max(1u, std::thread::hardware_concurrency());
     const std::size_t workers = std::max<std::size_t>(1, bench::worker_threads(cli));
@@ -155,3 +155,5 @@ int main(int argc, char** argv) {
     write_json(out, hc, entries);
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

@@ -1,7 +1,7 @@
 // Table 1: specification of the hybrid platforms used in the experiments.
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     std::cout << "Table 1: Specification of hybrid platforms used in experiments\n";
@@ -13,3 +13,5 @@ int main(int argc, char** argv) {
     std::cout << "\n(simulated devices; see DESIGN.md for the substitution)\n";
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

@@ -6,7 +6,7 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     const auto n = static_cast<std::uint64_t>(cli.get_int("n", 1 << 16));
@@ -28,3 +28,5 @@ int main(int argc, char** argv) {
     std::cout << "\nPaper: HPU1 (p=4, g=4096, 1/gamma=160), HPU2 (p=4, g=1200, 1/gamma=65)\n";
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

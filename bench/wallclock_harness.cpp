@@ -138,7 +138,7 @@ void write_json(const std::string& path, const std::string& platform,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     util::Cli cli(argc, argv);
     const std::size_t hc = std::max(1u, std::thread::hardware_concurrency());
     // At least one worker even on a single-core host: the pooled pass must
@@ -310,3 +310,5 @@ int main(int argc, char** argv) {
     }
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

@@ -15,7 +15,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
 
@@ -71,3 +71,5 @@ int main(int argc, char** argv) {
     std::cout << "\nThe centre cell (the model's pick) should be at or near the best.\n";
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

@@ -108,7 +108,7 @@ void print_markdown_critpath(const obs::CritPathReport& rep) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     util::Cli cli(argc, argv);
 
     std::string path = cli.get("trace", "");
@@ -211,3 +211,5 @@ int main(int argc, char** argv) {
 
     return checks_ok ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

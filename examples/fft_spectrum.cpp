@@ -17,7 +17,7 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     const auto lgn = static_cast<unsigned>(cli.get_int("lgn", 16));
@@ -72,3 +72,5 @@ int main(int argc, char** argv) {
     std::cout << "\n(the top two bins should be f1=" << f1 << " and f2=" << f2 << ")\n";
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

@@ -12,9 +12,10 @@
 #include "core/executors.hpp"
 #include "core/generic.hpp"
 #include "platforms/platforms.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
-int main() {
+static int main_body(int /*argc*/, char** /*argv*/) {
     using namespace hpu;
     util::Rng rng(7);
 
@@ -58,3 +59,5 @@ int main() {
               << rep.levels_gpu << " kernel launches, " << rep.gpu_busy << " ticks\n";
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

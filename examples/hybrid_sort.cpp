@@ -16,7 +16,7 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     const auto n = static_cast<std::uint64_t>(cli.get_int("n", 1 << 18));
@@ -72,3 +72,5 @@ int main(int argc, char** argv) {
     std::cout << "\nModel prediction for the advanced hybrid: " << opt.speedup << "x\n";
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

@@ -19,9 +19,10 @@
 #include "model/advanced.hpp"
 #include "platforms/platforms.hpp"
 #include "trace/span.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
-int main() {
+static int main_body(int /*argc*/, char** /*argv*/) {
     using namespace hpu;
 
     // --- Layer 1: a generic D&C algorithm, two execution orders.
@@ -78,3 +79,5 @@ int main() {
     }
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

@@ -120,7 +120,7 @@ void print_estimates(const trace::TraceSession& session, const char* which,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     util::Cli cli(argc, argv);
 
     const std::string emit = cli.get("emit", "");
@@ -177,3 +177,5 @@ int main(int argc, char** argv) {
     }
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

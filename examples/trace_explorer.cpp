@@ -32,7 +32,7 @@
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
     using namespace hpu;
     util::Cli cli(argc, argv);
     const auto n = static_cast<std::uint64_t>(cli.get_int("n", 1 << 20));
@@ -130,3 +130,5 @@ int main(int argc, char** argv) {
     }
     return 0;
 }
+
+int main(int argc, char** argv) { return hpu::util::run_main(argc, argv, main_body); }

@@ -15,11 +15,13 @@
 // transparent to the CPU side, exactly as in the paper.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "core/level_algorithm.hpp"
 #include "util/check.hpp"
+#include "util/transpose.hpp"
 
 namespace hpu::algos {
 
@@ -95,17 +97,15 @@ protected:
                       data.begin() + static_cast<std::ptrdiff_t>(hi), staged);
             util::merge_segments(exec_.pool, staged, mid - lo, staged + (mid - lo),
                                  hi - mid, data.data() + lo, std::less<T>{}, parts);
-        } else {
+        } else if (mid > lo && data[mid] < data[mid - 1]) {  // else already in order
             T* left = scratch_.data() + lo;
             std::copy(data.begin() + static_cast<std::ptrdiff_t>(lo),
                       data.begin() + static_cast<std::ptrdiff_t>(mid), left);
-            std::uint64_t i = 0, r = mid, k = lo;
             const std::uint64_t nl = mid - lo;
-            while (i < nl && r < hi) {
-                data[k++] = left[i] <= data[r] ? left[i++] : data[r++];
-            }
-            while (i < nl) data[k++] = left[i++];
-            // Tail of the right run is already in place.
+            const util::MergeCut c = util::merge_until_exhausted(
+                left, nl, data.data() + mid, hi - mid, data.data() + lo, std::less<T>{});
+            // The tail of the right run is already in place.
+            for (std::uint64_t i = c.ai; i < nl; ++i) data[lo + c.bi + i] = left[i];
         }
         ops.charge_compute(sz);
         ops.charge_mem(sz / 2 + 2 * sz, pattern);
@@ -121,7 +121,7 @@ protected:
 };
 
 template <typename T>
-class MergesortCoalesced final : public MergesortPlain<T> {
+class MergesortCoalesced : public MergesortPlain<T> {
 public:
     std::string name() const override { return "mergesort-coalesced"; }
 
@@ -155,11 +155,7 @@ public:
         // the inverse of the after_gpu_levels permutation, same tiled
         // transpose price.
         const std::uint64_t m = device_data.size() / runs_in;
-        for (std::uint64_t j = 0; j < runs_in; ++j) {
-            for (std::uint64_t k = 0; k < m; ++k) {
-                dscratch_[k * runs_in + j] = device_data[j * m + k];
-            }
-        }
+        util::transpose(device_data.data(), m, dscratch_.data(), runs_in, runs_in, m);
         cur_is_scratch_ = true;
         ops.charge_mem(2 * device_data.size(), sim::Pattern::kCoalesced);
         ops.charge_compute(device_data.size() / 4);
@@ -167,53 +163,12 @@ public:
 
     void run_device_task(std::span<T> data, std::uint64_t count, std::uint64_t j,
                          sim::OpCounter& ops) const override {
-        HPU_CHECK(runs_ == 2 * count, "interleaved layout out of sync with the level");
-        const std::uint64_t in_runs = 2 * count;
-        const std::uint64_t m = data.size() / in_runs;  // input run length
-        const T* src = cur_is_scratch_ ? dscratch_.data() : data.data();
-        T* dst = cur_is_scratch_ ? data.data() : dscratch_.data();
-        const std::uint64_t ra = 2 * j, rb = 2 * j + 1;
-        // Interleave-aware Merge Path: the two input columns and the output
-        // column are strided views over disjoint ping-pong buffers, so the
-        // segments write disjoint output cells. Same stable merge as the
-        // serial walk below (va <= vb takes run A).
-        const std::size_t parts =
-            this->exec_.parallel_ok() ? util::merge_parts(2 * m, this->exec_.pool) : 1;
-        if (parts > 1) {
-            util::merge_segments_strided(
-                this->exec_.pool, util::Strided<const T>{src + ra, in_runs}, m,
-                util::Strided<const T>{src + rb, in_runs}, m,
-                util::Strided<T>{dst + j, count}, std::less<T>{}, parts);
-        } else {
-            auto src_at = [&](std::uint64_t run, std::uint64_t k) {
-                return src[k * in_runs + run];
-            };
-            std::uint64_t ia = 0, ib = 0, k = 0;
-            while (ia < m && ib < m) {
-                const T va = src_at(ra, ia), vb = src_at(rb, ib);
-                if (va <= vb) {
-                    dst[k * count + j] = va;
-                    ++ia;
-                } else {
-                    dst[k * count + j] = vb;
-                    ++ib;
-                }
-                ++k;
-            }
-            while (ia < m) dst[k++ * count + j] = src_at(ra, ia++);
-            while (ib < m) dst[k++ * count + j] = src_at(rb, ib++);
-        }
-        // 1 compare + 2 coalesced words per output element.
-        ops.charge_compute(2 * m);
-        ops.charge_mem(4 * m, sim::Pattern::kCoalesced);
-        // Declared footprint: interleaved columns ra, rb of src, column j
-        // of dst. The ping-pong scratch lives in a disjoint address region
-        // so data-vs-scratch accesses can never alias.
-        const std::uint64_t src_base = cur_is_scratch_ ? verify::kScratchRegionBase : 0;
-        const std::uint64_t dst_base = cur_is_scratch_ ? 0 : verify::kScratchRegionBase;
-        ops.log_read(src_base + ra, m, in_runs);
-        ops.log_read(src_base + rb, m, in_runs);
-        ops.log_write(dst_base + j, 2 * m, count);
+        merge_tile(data, count, j, std::span<sim::OpCounter>(&ops, 1));
+    }
+
+    void run_device_tile(std::span<T> data, std::uint64_t count, std::uint64_t first,
+                         std::span<sim::OpCounter> ops) const override {
+        merge_tile(data, count, first, ops);
     }
 
     void after_gpu_level(std::span<T> /*device_data*/, std::uint64_t count,
@@ -229,20 +184,10 @@ public:
         const std::uint64_t m = device_data.size() / runs_;
         // Un-interleave back to row-major so the CPU sees ordinary runs —
         // "the array is permuted back to the original arrangement" (§6.3).
-        if (cur_is_scratch_) {
-            for (std::uint64_t j = 0; j < runs_; ++j) {
-                for (std::uint64_t k = 0; k < m; ++k) {
-                    device_data[j * m + k] = dscratch_[k * runs_ + j];
-                }
-            }
-        } else {
+        if (!cur_is_scratch_) {
             std::copy(device_data.begin(), device_data.end(), dscratch_.begin());
-            for (std::uint64_t j = 0; j < runs_; ++j) {
-                for (std::uint64_t k = 0; k < m; ++k) {
-                    device_data[j * m + k] = dscratch_[k * runs_ + j];
-                }
-            }
         }
+        util::transpose(dscratch_.data(), runs_, device_data.data(), m, m, runs_);
         cur_is_scratch_ = false;
         // A tiled device transpose moves each word twice, coalesced.
         ops.charge_mem(2 * device_data.size(), sim::Pattern::kCoalesced);
@@ -285,6 +230,81 @@ public:
     }
 
 private:
+    /// Staging budget of one host thread's tile, in bytes: the tile's 2B
+    /// input columns and B output columns, row-major (4·B·m elements).
+    static constexpr std::size_t kStageBytes = std::size_t{1} << 19;
+    /// Elements per cache line: the widest tile (one whole line per output
+    /// row write) and the shortest run worth staging.
+    static constexpr std::uint64_t kLineElems =
+        std::max<std::uint64_t>(1, util::kCacheLineBytes / sizeof(T));
+
+    /// Columns merged per staged block at input run length m, or 0 to walk
+    /// the columns in place: runs shorter than a cache line leave a tile
+    /// few enough rows that they stream through the cache anyway, and a
+    /// column pair that overflows the budget cannot be staged.
+    static std::uint64_t tile_width(std::uint64_t m) {
+        if (m < kLineElems) return 0;
+        return std::min(kLineElems, kStageBytes / (4 * m * sizeof(T)));
+    }
+
+    /// The device body of tasks [first, first + ops.size()): task j merges
+    /// interleaved columns 2j and 2j+1 of the ping buffer into column j of
+    /// the pong buffer. Blocks of B adjacent tasks are staged: each row
+    /// read is 2B adjacent words, each column pair merges contiguously
+    /// with util::merge_serial, each row write is B adjacent words. Launches
+    /// narrower than the pool (merge_parts > 1), short runs and runs too
+    /// long to stage merge in place through strided Merge Path views. Every path
+    /// is the same stable merge (A wins ties), and the charges and logs
+    /// are per task and path-independent.
+    void merge_tile(std::span<T> data, std::uint64_t count, std::uint64_t first,
+                    std::span<sim::OpCounter> ops) const {
+        HPU_CHECK(runs_ == 2 * count, "interleaved layout out of sync with the level");
+        const std::uint64_t in_runs = 2 * count;
+        const std::uint64_t m = data.size() / in_runs;  // input run length
+        const T* src = cur_is_scratch_ ? dscratch_.data() : data.data();
+        T* dst = cur_is_scratch_ ? data.data() : dscratch_.data();
+        const std::uint64_t end = first + ops.size();
+        const std::size_t parts =
+            this->exec_.parallel_ok() ? util::merge_parts(2 * m, this->exec_.pool) : 1;
+        const std::uint64_t width = tile_width(m);
+        if (parts > 1 || width == 0) {
+            for (std::uint64_t j = first; j < end; ++j) {
+                util::merge_segments_strided(
+                    this->exec_.pool, util::Strided<const T>{src + 2 * j, in_runs}, m,
+                    util::Strided<const T>{src + 2 * j + 1, in_runs}, m,
+                    util::Strided<T>{dst + j, count}, std::less<T>{}, parts);
+            }
+        } else {
+            thread_local std::vector<T> stage;  // at most kStageBytes per thread
+            stage.resize(std::max<std::size_t>(stage.size(), 4 * width * m));
+            for (std::uint64_t j0 = first; j0 < end; j0 += width) {
+                const std::uint64_t b = std::min(width, end - j0);
+                T* in = stage.data();      // 2b input runs of m
+                T* out = in + 2 * b * m;   // b output runs of 2m
+                util::transpose(src + 2 * j0, in_runs, in, m, m, 2 * b);
+                for (std::uint64_t i = 0; i < b; ++i) {
+                    util::merge_serial(in + 2 * i * m, m, in + (2 * i + 1) * m, m,
+                                       out + 2 * i * m, std::less<T>{});
+                }
+                util::transpose(out, 2 * m, dst + j0, count, b, 2 * m);
+            }
+        }
+        // Declared footprint: interleaved columns 2j, 2j+1 of src, column j
+        // of dst. The ping-pong scratch lives in a disjoint address region
+        // so data-vs-scratch accesses can never alias.
+        const std::uint64_t src_base = cur_is_scratch_ ? verify::kScratchRegionBase : 0;
+        const std::uint64_t dst_base = cur_is_scratch_ ? 0 : verify::kScratchRegionBase;
+        for (std::uint64_t j = first; j < end; ++j) {
+            sim::OpCounter& o = ops[j - first];
+            // 1 compare + 2 coalesced words per output element.
+            o.charge_compute(2 * m);
+            o.charge_mem(4 * m, sim::Pattern::kCoalesced);
+            o.log_read(src_base + 2 * j, m, in_runs);
+            o.log_read(src_base + 2 * j + 1, m, in_runs);
+            o.log_write(dst_base + j, 2 * m, count);
+        }
+    }
+
     mutable std::vector<T> dscratch_;
     mutable bool cur_is_scratch_ = false;
     mutable std::uint64_t runs_ = 0;

@@ -37,7 +37,7 @@ ParallelGpuReport mergesort_gpu_parallel(sim::Hpu& hpu, std::span<std::int32_t> 
         return rep;
     }
 
-    sim::DeviceBuffer<std::int32_t> buf{std::vector<std::int32_t>(data.begin(), data.end())};
+    auto buf = sim::DeviceBuffer<std::int32_t>::over(data);
     buf.copy_to_device();
     std::vector<std::int32_t> scratch(n);
     std::int32_t* cur = buf.device().data();
@@ -105,8 +105,7 @@ ParallelGpuReport mergesort_gpu_parallel(sim::Hpu& hpu, std::span<std::int32_t> 
     if (cur != buf.device().data()) {
         std::copy(scratch.begin(), scratch.end(), buf.device().begin());
     }
-    buf.copy_to_host();
-    std::copy(buf.host_view().begin(), buf.host_view().end(), data.begin());
+    buf.copy_to_host();  // lands in `data`, the buffer's host side
     return rep;
 }
 

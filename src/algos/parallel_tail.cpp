@@ -64,7 +64,7 @@ ParallelTailReport mergesort_gpu_parallel_tail(sim::Hpu& hpu, std::span<std::int
     std::vector<std::int32_t> scratch;
     std::span<std::int32_t> dspan = data;
     if (opts.functional) {
-        buf.emplace(std::vector<std::int32_t>(data.begin(), data.end()));
+        buf.emplace(sim::DeviceBuffer<std::int32_t>::over(data));
         buf->copy_to_device();
         dspan = buf->device();
         scratch.resize(n);
@@ -79,10 +79,10 @@ ParallelTailReport mergesort_gpu_parallel_tail(sim::Hpu& hpu, std::span<std::int
         const std::uint64_t tasks = util::ipow(2, static_cast<std::uint32_t>(i));
         if (opts.functional) {
             rep.deep_kernels +=
-                dev.launch(tasks,
-                           [&](sim::WorkItem& wi) {
-                               deep.run_device_task(dspan, tasks, wi.global_id(), wi.ops());
-                           })
+                dev.launch_tiled(tasks,
+                                 [&](std::uint64_t first, std::span<sim::OpCounter> ops) {
+                                     deep.run_device_tile(dspan, tasks, first, ops);
+                                 })
                     .time;
             sim::OpCounter flip;
             deep.after_gpu_level(dspan, tasks, flip);
@@ -114,8 +114,7 @@ ParallelTailReport mergesort_gpu_parallel_tail(sim::Hpu& hpu, std::span<std::int
     }
     if (opts.functional) {
         if (cur != dspan.data()) std::copy(scratch.begin(), scratch.end(), dspan.begin());
-        buf->copy_to_host();
-        std::copy(buf->host_view().begin(), buf->host_view().end(), data.begin());
+        buf->copy_to_host();  // lands in `data`, the buffer's host side
     }
     rep.total = rep.deep_kernels + rep.tail_kernels + rep.transfer;
     return rep;

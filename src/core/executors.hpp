@@ -743,16 +743,20 @@ private:
         std::vector<sim::ItemAccessLog> logs(val_.on() ? tasks : 0);
         std::vector<T> before;
         if (val_.on() && !leaves) before.assign(view.begin(), view.end());
-        auto body = [&](sim::WorkItem& wi) {
-            if (val_.on()) wi.ops().trace = &logs[wi.global_id()];
-            if (leaves) {
-                alg_.run_leaf(view, tasks, wi.global_id(), wi.ops());
-            } else {
-                alg_.run_device_task(view, tasks, wi.global_id(), wi.ops());
+        auto body = [&](std::uint64_t first, std::span<sim::OpCounter> ops) {
+            if (val_.on()) {
+                for (std::uint64_t i = 0; i < ops.size(); ++i) ops[i].trace = &logs[first + i];
+            }
+            if (!leaves) {
+                alg_.run_device_tile(view, tasks, first, ops);
+                return;
+            }
+            for (std::uint64_t i = 0; i < ops.size(); ++i) {
+                alg_.run_leaf(view, tasks, first + i, ops[i]);
             }
         };
-        const sim::LaunchResult r = leaves ? dev_->launch(tasks, body)
-                                           : dev_->launch(tasks, body, alg_.intra_task_parallel());
+        const sim::LaunchResult r =
+            dev_->launch_tiled(tasks, body, !leaves && alg_.intra_task_parallel());
         if (val_.on()) {
             const std::string label = launch_label(name_, phase, tasks);
             check_launch(leaves ? verify::Phase::kLeaf : verify::Phase::kDeviceTask, logs,
@@ -780,16 +784,15 @@ private:
         return r.time;
     }
 
-    /// The physical side of a transfer: the device buffer is created by the
-    /// first copy in, bulk copies acquire the whole device view, streamed
-    /// chunks record their link schedule [start, end) for the residency
-    /// lint.
+    /// The physical side of a transfer: the first copy in creates the
+    /// device buffer over the array's device slice, bulk copies acquire
+    /// the whole device view, streamed chunks record their link schedule
+    /// [start, end) for the residency lint.
     void move_data(const Step& s, sim::Ticks start, sim::Ticks end) {
         const std::size_t rel = s.slice.offset - plan_.device.offset;
         if (s.to_device) {
             if (!buf_) {
-                const std::span<T> region = host(plan_.device);
-                buf_.emplace(std::vector<T>(region.begin(), region.end()));
+                buf_.emplace(sim::DeviceBuffer<T>::over(host(plan_.device)));
                 if (val_.on()) buf_->set_trace(&buf_events_);
             }
             if (plan_.streamed) {
@@ -809,11 +812,11 @@ private:
         }
     }
 
-    /// Ships the retrieved device buffer back into the array and lints its
-    /// residency log.
+    /// Retires the device buffer and lints its residency log. The buffer's
+    /// host side is the array itself, so the readback already landed;
+    /// reading it here is the host access the lint checks for staleness.
     void release_device() {
-        std::copy(buf_->host_view().begin(), buf_->host_view().end(),
-                  data_.begin() + static_cast<std::ptrdiff_t>(plan_.device.offset));
+        (void)buf_->host_view();
         if (val_.on()) {
             analysis::lint_residency(buf_events_, name_ + "/device-buffer", *val_.report);
         }

@@ -95,6 +95,19 @@ public:
         run_task(data, count, j, ops);
     }
 
+    /// Device-side body of a tile: the adjacent tasks [first, first +
+    /// ops.size()) of one wave, task first + i charging ops[i] (see
+    /// sim::Device::launch_tiled). Must leave the data, charges and logs
+    /// exactly as running each task alone would — tiling only lets the
+    /// host share memory work between neighbouring items. Default: one
+    /// run_device_task per item.
+    virtual void run_device_tile(std::span<T> data, std::uint64_t count, std::uint64_t first,
+                                 std::span<sim::OpCounter> ops) const {
+        for (std::uint64_t i = 0; i < ops.size(); ++i) {
+            run_device_task(data, count, first + i, ops[i]);
+        }
+    }
+
     /// Device-side hook before a run of consecutive GPU levels (e.g., the
     /// §6.3 coalescing permutation). `count` is the task count of the
     /// deepest level about to execute. Charged to `ops` as device work.

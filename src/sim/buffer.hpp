@@ -60,11 +60,23 @@ struct BufferEvent {
 template <typename T>
 class DeviceBuffer {
 public:
-    explicit DeviceBuffer(std::size_t n) : host_(n), device_(n) {}
+    explicit DeviceBuffer(std::size_t n) : owned_(n), host_(owned_) {}
 
     /// Construct with initial host contents.
-    explicit DeviceBuffer(std::vector<T> initial)
-        : host_(std::move(initial)), device_(host_.size()) {}
+    explicit DeviceBuffer(std::vector<T> initial) : owned_(std::move(initial)), host_(owned_) {}
+
+    /// A buffer whose host side IS `host` (borrowed; it must outlive the
+    /// buffer): copies move words straight between that memory and the
+    /// device side, with no private host copy in between.
+    static DeviceBuffer over(std::span<T> host) { return DeviceBuffer(host); }
+
+    // host_ may view owned_: a copy would view the source's storage. A
+    // move keeps owned_'s heap block, so the view stays valid.
+    DeviceBuffer(const DeviceBuffer&) = delete;
+    DeviceBuffer& operator=(const DeviceBuffer&) = delete;
+    DeviceBuffer(DeviceBuffer&&) noexcept = default;
+    DeviceBuffer& operator=(DeviceBuffer&&) noexcept = default;
+    ~DeviceBuffer() = default;
 
     std::size_t size() const noexcept { return host_.size(); }
     std::size_t bytes() const noexcept { return host_.size() * sizeof(T); }
@@ -110,7 +122,7 @@ public:
     void copy_to_host() {
         record(BufferOp::kCopyToHost, 0, size());
         HPU_CHECK(device_valid_, "reading back a buffer that was never written on the device");
-        host_.assign(device_.begin(), device_.end());
+        std::copy(device_.begin(), device_.end(), host_.begin());
         host_valid_ = true;
     }
 
@@ -124,6 +136,7 @@ public:
     void stream_to_device(std::size_t offset, std::size_t count, Ticks start, Ticks ready) {
         record(BufferOp::kCopyToDevice, offset, count, start, ready);
         HPU_CHECK(offset <= size() && count <= size() - offset, "streamed chunk out of range");
+        device_.resize(size());
         std::copy_n(host_.begin() + static_cast<std::ptrdiff_t>(offset), count,
                     device_.begin() + static_cast<std::ptrdiff_t>(offset));
         if (!device_valid_ && cover(device_streamed_, offset, count)) {
@@ -169,6 +182,7 @@ public:
         HPU_CHECK(offset <= size() && count <= size() - offset, "partial copy out of range");
         HPU_CHECK(device_valid_ || (offset == 0 && count == size()),
                   "partial copy into a device buffer whose remaining contents are not valid");
+        device_.resize(size());
         std::copy_n(host_.begin() + static_cast<std::ptrdiff_t>(offset), count,
                     device_.begin() + static_cast<std::ptrdiff_t>(offset));
         device_valid_ = true;
@@ -229,7 +243,11 @@ private:
         return count == 0;
     }
 
-    std::vector<T> host_;
+    explicit DeviceBuffer(std::span<T> host) : host_(host) {}
+
+    std::vector<T> owned_;  ///< host storage, unless the host side is borrowed
+    std::span<T> host_;
+    /// Allocated by the first copy in (a full copy fills it in one pass).
     std::vector<T> device_;
     bool host_valid_ = true;
     bool device_valid_ = false;

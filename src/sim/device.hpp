@@ -8,15 +8,20 @@
 // back. Items charge their work through WorkItem::ops().
 //
 // Functional execution is optionally *host-parallel*: constructed with a
-// util::ThreadPool, the device runs each wave's items across the pool (the
+// util::ThreadPool, the device runs a launch's items across the pool (the
 // items of one launch are independent by the framework's contract — the
-// hpu::analysis race detector enforces it). Virtual time, LaunchResult,
-// and WaveTrace stay bit-identical to the serial path: per-item charges
-// land in a per-wave arena and are folded into the wave max/sum in index
-// order after the parallel section (enforced by test).
+// hpu::analysis race detector enforces it). Items run in tiles of adjacent
+// items (launch_tiled), so a kernel can share memory work between
+// neighbours. Virtual time, LaunchResult, and WaveTrace stay bit-identical
+// to a one-item-at-a-time run: per-item charges are folded into per-claim
+// max/sum slots, and the slots into the wave max/sum in index order after
+// the parallel section (enforced by test).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -106,63 +111,104 @@ public:
     ///
     /// `items_use_pool` declares that the kernel bodies can split their own
     /// work across the host pool (LevelAlgorithm::intra_task_parallel): a
-    /// wave narrower than the pool then runs inline so the workers serve
-    /// the merges *inside* the few items. Wall-clock only — the serial
-    /// fold is bit-identical to the pooled one.
+    /// launch of no more items than the pool has workers then runs inline
+    /// so the workers serve the merges *inside* the few items. Wall-clock
+    /// only — the inline fold is bit-identical to the pooled one.
     template <typename Kernel>
     LaunchResult launch(std::uint64_t n_items, Kernel&& kernel, bool items_use_pool = false) {
+        return launch_tiled(
+            n_items,
+            [&](std::uint64_t first, std::span<OpCounter> ops) {
+                for (std::uint64_t i = 0; i < ops.size(); ++i) {
+                    WorkItem wi(first + i, n_items, ops[i]);
+                    kernel(wi);
+                }
+            },
+            items_use_pool);
+    }
+
+    /// launch() for kernels that run a *tile* of adjacent work-items
+    /// together: `kernel(first, ops)` executes items [first, first +
+    /// ops.size()) of one wave and charges item first + i to ops[i]. Tiles
+    /// never cross a wave and hold at most kTileItems items, so a body can
+    /// lay out memory work across neighbouring items — the coalesced
+    /// mergesort reads whole rows of its interleaved layout.
+    ///
+    /// The whole launch is one pool batch: each claim is a run of at most
+    /// g items, cut at the wave boundary into at most two pieces. A piece
+    /// runs its tiles in index order and folds their per-item charges into
+    /// its own max/sum slot; the slots are then folded in index order into
+    /// the waves. Charges are integers and the fold takes maxima, so the
+    /// result does not depend on how the items were grouped: LaunchResult
+    /// and WaveTrace match a one-item-at-a-time run bit for bit.
+    template <typename TileKernel>
+    LaunchResult launch_tiled(std::uint64_t n_items, TileKernel&& kernel,
+                              bool items_use_pool = false) {
         HPU_CHECK(n_items >= 1, "kernel launch needs at least one work-item");
         LaunchResult r;
         r.items = n_items;
         r.waves = util::ceil_div(n_items, params_.g);
-        const bool pooled = pool_ != nullptr && pool_->worker_count() > 0;
-        Ticks total = params_.launch_overhead;
-        std::uint64_t id = 0;
-        for (std::uint64_t w = 0; w < r.waves; ++w) {
-            const std::uint64_t wave_begin = id;
-            const std::uint64_t wave_end = std::min(n_items, (w + 1) * params_.g);
-            double wave_max_ops = 0.0;
-            OpCounter wave_ops;
-            if (pooled && wave_end - wave_begin > 1 &&
-                !(items_use_pool && wave_end - wave_begin <= pool_->worker_count())) {
-                // Host-parallel wave: every item charges into its own arena
-                // slot, then the slots are folded in index order — the same
-                // max/sum sequence the serial loop below produces, so the
-                // two paths are bit-identical.
-                const std::size_t items = wave_end - wave_begin;
-                item_ops_.assign(items, OpCounter{});  // reused arena, reset
-                item_cost_.resize(items);
-                pool_->parallel_for(items, [&](std::size_t j) {
-                    WorkItem wi(wave_begin + j, n_items, item_ops_[j]);
-                    kernel(wi);
-                    item_cost_[j] = item_ops_[j].gpu_ops(params_.strided_penalty);
-                });
-                for (std::size_t j = 0; j < items; ++j) {
-                    wave_max_ops = std::max(wave_max_ops, item_cost_[j]);
-                    r.max_item_ops = std::max(r.max_item_ops, item_cost_[j]);
-                    r.total_ops += item_ops_[j];
-                    if (wave_trace_ != nullptr) wave_ops += item_ops_[j];
-                }
-                id = wave_end;
-            } else {
-                for (; id < wave_end; ++id) {
-                    OpCounter ops;
-                    WorkItem wi(id, n_items, ops);
-                    kernel(wi);
-                    const double item_ops = ops.gpu_ops(params_.strided_penalty);
-                    wave_max_ops = std::max(wave_max_ops, item_ops);
-                    r.max_item_ops = std::max(r.max_item_ops, item_ops);
-                    r.total_ops += ops;
-                    if (wave_trace_ != nullptr) wave_ops += ops;
+        const std::size_t workers = pool_ != nullptr ? pool_->worker_count() : 0;
+        const bool pooled = workers > 0 && n_items > 1 && !(items_use_pool && n_items <= workers);
+        const std::uint64_t grain =
+            pooled ? std::clamp<std::uint64_t>(n_items / ((workers + 1) * kClaimsPerParticipant),
+                                               1, params_.g)
+                   : params_.g;
+        const std::uint64_t claims = util::ceil_div(n_items, grain);
+        pieces_.assign(2 * claims, Piece{});
+        auto run_piece = [&](std::uint64_t begin, std::uint64_t end, Piece& p) {
+            p.wave = begin / params_.g;
+            std::array<OpCounter, kTileItems> ops;
+            for (std::uint64_t first = begin; first < end; first += kTileItems) {
+                const std::size_t k = std::min<std::uint64_t>(kTileItems, end - first);
+                std::fill_n(ops.begin(), k, OpCounter{});
+                kernel(first, std::span<OpCounter>(ops.data(), k));
+                for (std::size_t i = 0; i < k; ++i) {
+                    p.max_ops = std::max(p.max_ops, ops[i].gpu_ops(params_.strided_penalty));
+                    p.ops += ops[i];
                 }
             }
-            total += wave_max_ops / params_.gamma;
-            if (wave_trace_ != nullptr) {
-                wave_trace_->push_back({wave_begin, wave_end - wave_begin,
-                                        wave_max_ops / params_.gamma, wave_max_ops,
-                                        wave_ops});
+        };
+        auto run_claims = [&](std::size_t c0, std::size_t c1) {
+            for (std::size_t c = c0; c < c1; ++c) {
+                const std::uint64_t begin = c * grain;
+                const std::uint64_t end = std::min(n_items, begin + grain);
+                const std::uint64_t cut = std::min(end, (begin / params_.g + 1) * params_.g);
+                run_piece(begin, cut, pieces_[2 * c]);
+                if (cut < end) run_piece(cut, end, pieces_[2 * c + 1]);
             }
+        };
+        if (pooled) {
+            pool_->parallel_ranges(claims, run_claims, /*grain=*/1);
+        } else {
+            run_claims(0, claims);
         }
+        Ticks total = params_.launch_overhead;
+        std::uint64_t w = 0;
+        double wave_max_ops = 0.0;
+        OpCounter wave_ops;
+        auto close_wave = [&] {
+            total += wave_max_ops / params_.gamma;
+            r.max_item_ops = std::max(r.max_item_ops, wave_max_ops);
+            r.total_ops += wave_ops;
+            if (wave_trace_ != nullptr) {
+                const std::uint64_t first = w * params_.g;
+                wave_trace_->push_back({first, std::min(n_items - first, params_.g),
+                                        wave_max_ops / params_.gamma, wave_max_ops, wave_ops});
+            }
+            wave_max_ops = 0.0;
+            wave_ops = OpCounter{};
+        };
+        for (const Piece& p : pieces_) {
+            if (p.wave == kNoWave) continue;  // claim that ended at its wave boundary
+            if (p.wave != w) {
+                close_wave();
+                w = p.wave;
+            }
+            wave_max_ops = std::max(wave_max_ops, p.max_ops);
+            wave_ops += p.ops;
+        }
+        close_wave();
         r.time = total;
         stats_.launches += 1;
         stats_.items += n_items;
@@ -183,10 +229,22 @@ private:
     DeviceStats stats_;
     std::vector<WaveTrace>* wave_trace_ = nullptr;
     util::ThreadPool* pool_ = nullptr;
-    // Per-wave scratch, reused across waves and launches so pooled
-    // execution allocates nothing steady-state (capacity is bounded by g).
-    std::vector<OpCounter> item_ops_;
-    std::vector<double> item_cost_;
+    /// Upper bound on the items one kernel call of a tiled launch runs.
+    static constexpr std::size_t kTileItems = 64;
+    /// Target claims per pool participant (late or slow participants still
+    /// balance, as with ThreadPool's own automatic grain).
+    static constexpr std::size_t kClaimsPerParticipant = 8;
+    static constexpr std::uint64_t kNoWave = ~std::uint64_t{0};
+
+    /// Folded charges of one claim's items inside one wave.
+    struct Piece {
+        std::uint64_t wave = kNoWave;
+        double max_ops = 0.0;  ///< largest per-item GPU op count
+        OpCounter ops;         ///< summed per-item charges
+    };
+    // Piece arena, reused across launches so execution allocates nothing
+    // steady-state.
+    std::vector<Piece> pieces_;
 };
 
 }  // namespace hpu::sim

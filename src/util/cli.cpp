@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <iostream>
 #include <system_error>
 #include <type_traits>
 
@@ -67,6 +68,15 @@ bool Cli::get_bool(const std::string& name, bool def) const {
     const auto it = flags_.find(name);
     if (it == flags_.end()) return def;
     return it->second != "false" && it->second != "0";
+}
+
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+    try {
+        return body(argc, argv);
+    } catch (const HpuError& e) {
+        std::cerr << (argc > 0 ? argv[0] : "hpu") << ": error: " << e.what() << "\n";
+        return 2;
+    }
 }
 
 }  // namespace hpu::util

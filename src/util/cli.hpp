@@ -29,4 +29,10 @@ private:
     std::vector<std::string> positional_;
 };
 
+/// The entry point of every bench and example binary: returns
+/// body(argc, argv), or 2 after printing "<program>: error: <what>" to
+/// stderr when a util::HpuError escapes it — a rejected flag value or an
+/// input outside the model ends in a usage error, not std::terminate.
+int run_main(int argc, char** argv, int (*body)(int, char**));
+
 }  // namespace hpu::util

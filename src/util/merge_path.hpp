@@ -106,25 +106,37 @@ void copy_run(const T* src, std::size_t n, T* out) {
 
 }  // namespace merge_detail
 
-/// Stable serial merge of a[0, na) and b[0, nb) into out[0, na + nb), A
-/// wins ties. Branchless cache-blocked inner loop: a block never exceeds
-/// either run's remainder, so the hot loop has no exhaustion tests and the
-/// advance is a flag add, not a branch; the surviving tail is one bulk
-/// copy. `out` must not overlap either input.
+/// The loop of the contiguous serial merges: merges a[0, na) and b[0, nb)
+/// into out until one run is exhausted, A winning ties, and returns how
+/// much of each run it consumed (the first ai + bi outputs are written).
+/// Branchless cache-blocked inner loop: a block never exceeds either run's
+/// remainder, so the hot loop has no exhaustion tests and the advance is a
+/// flag add, not a branch. `out` may overlap b only as out + na == b (the
+/// copy-left-half merge): every store then lands behind b's read cursor.
 template <typename T, typename Less>
-void merge_serial(const T* a, std::size_t na, const T* b, std::size_t nb, T* out, Less less) {
+MergeCut merge_until_exhausted(const T* a, std::size_t na, const T* b, std::size_t nb, T* out,
+                               Less less) {
     std::size_t ia = 0, ib = 0, k = 0;
-    while (ia < na && ib < nb) {
-        const std::size_t run = std::min({na - ia, nb - ib, kMergeBlock});
-        for (std::size_t i = 0; i < run; ++i) {
+    for (;;) {
+        const std::size_t run = std::min(na - ia, nb - ib);
+        if (run == 0) return {ia, ib};
+        for (std::size_t i = 0, block = std::min(run, kMergeBlock); i < block; ++i) {
             const bool take_b = less(b[ib], a[ia]);
             out[k++] = take_b ? b[ib] : a[ia];
             ia += static_cast<std::size_t>(!take_b);
             ib += static_cast<std::size_t>(take_b);
         }
     }
-    merge_detail::copy_run(a + ia, na - ia, out + k);
-    merge_detail::copy_run(b + ib, nb - ib, out + k + (na - ia));
+}
+
+/// Stable serial merge of a[0, na) and b[0, nb) into out[0, na + nb), A
+/// wins ties: merge_until_exhausted, then the surviving tail as one bulk
+/// copy. `out` must not overlap either input.
+template <typename T, typename Less>
+void merge_serial(const T* a, std::size_t na, const T* b, std::size_t nb, T* out, Less less) {
+    const MergeCut c = merge_until_exhausted(a, na, b, nb, out, less);
+    merge_detail::copy_run(a + c.ai, na - c.ai, out + c.ai + c.bi);
+    merge_detail::copy_run(b + c.bi, nb - c.bi, out + na + c.bi);
 }
 
 /// Stable merge of a[0, na) and b[0, nb) into out, split into `parts`

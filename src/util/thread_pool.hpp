@@ -119,17 +119,29 @@ public:
     /// still runs two-way parallel).
     template <typename Fn>
     void parallel_for(std::size_t count, Fn&& fn, std::size_t grain = 0) {
+        parallel_ranges(
+            count,
+            [&fn](std::size_t begin, std::size_t end) {
+                for (std::size_t i = begin; i < end; ++i) fn(i);
+            },
+            grain);
+    }
+
+    /// parallel_for handing each claimed chunk to fn(begin, end) whole, so
+    /// a body can work on adjacent indices together (the device's tiled
+    /// launches). An inline pool makes one call over [0, count).
+    template <typename Fn>
+    void parallel_ranges(std::size_t count, Fn&& fn, std::size_t grain = 0) {
         if (count == 0) return;
         if (threads_.empty()) {
-            for (std::size_t i = 0; i < count; ++i) fn(i);
+            fn(std::size_t{0}, count);
             return;
         }
         auto* body = std::addressof(fn);
         run_batch(
             count, grain,
             [](void* ctx, std::size_t begin, std::size_t end) {
-                auto& f = *static_cast<std::remove_reference_t<Fn>*>(ctx);
-                for (std::size_t i = begin; i < end; ++i) f(i);
+                (*static_cast<std::remove_reference_t<Fn>*>(ctx))(begin, end);
             },
             const_cast<void*>(static_cast<const void*>(body)));
     }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -22,6 +23,7 @@
 #include "algos/karatsuba.hpp"
 #include "algos/mergesort.hpp"
 #include "algos/mergesort_blocked.hpp"
+#include "algos/parallel_tail.hpp"
 #include "algos/quickhull.hpp"
 #include "core/hybrid.hpp"
 #include "core/pipeline.hpp"
@@ -97,8 +99,11 @@ constexpr const char* kExecutors[] = {"sequential", "multicore", "gpu",
 
 template <typename T>
 RunArtifacts<T> run_one(util::ThreadPool* pool, int executor, const LevelAlgorithm<T>& alg,
-                        const std::vector<T>& input, bool functional) {
-    sim::Hpu h(small_hw(), pool);
+                        const std::vector<T>& input, bool functional,
+                        std::uint64_t g = small_hw().gpu.g) {
+    sim::HpuParams hw = small_hw();
+    hw.gpu.g = g;
+    sim::Hpu h(hw, pool);
     trace::TraceSession ts;
     ExecOptions opts;
     opts.functional = functional;
@@ -269,48 +274,137 @@ TEST(PoolDeterminism, IrregularAlgorithmsExecutorsAndModes) {
 
 // Raw device layer: non-uniform per-item charges across several waves.
 // The pooled fold must reproduce the serial max/sum sequence exactly —
-// LaunchResult, DeviceStats, and the per-wave trace records all match.
+// LaunchResult, DeviceStats, and the per-wave trace records all match —
+// and a tiled launch must match one-item-at-a-time launches: every item
+// runs once and no tile crosses a wave, whatever the wave width (g no
+// multiple of the tile width, a partial last wave, a single item).
 TEST(PoolDeterminism, DeviceNonUniformWavesMatchSerial) {
-    sim::DeviceParams dp = small_hw().gpu;
-    dp.g = 8;  // 125 waves at 1000 items
-    auto kernel = [](sim::WorkItem& wi) {
-        const std::uint64_t id = wi.global_id();
-        wi.charge_compute(1 + (id * 2654435761ull) % 97);
-        wi.charge_mem(1 + id % 5, sim::Pattern::kCoalesced);
-        if (id % 3 == 0) wi.charge_mem(2, sim::Pattern::kStrided);
+    auto charge = [](std::uint64_t id, sim::OpCounter& ops) {
+        ops.charge_compute(1 + (id * 2654435761ull) % 97);
+        ops.charge_mem(1 + id % 5, sim::Pattern::kCoalesced);
+        if (id % 3 == 0) ops.charge_mem(2, sim::Pattern::kStrided);
     };
-
-    sim::Device serial(dp);
-    std::vector<sim::WaveTrace> serial_waves;
-    serial.set_wave_trace(&serial_waves);
-    const sim::LaunchResult rs = serial.launch(1000, kernel);
-
+    auto kernel = [&](sim::WorkItem& wi) { charge(wi.global_id(), wi.ops()); };
     util::ThreadPool pool(pooled_workers());
-    sim::Device pooled(dp, &pool);
-    std::vector<sim::WaveTrace> pooled_waves;
-    pooled.set_wave_trace(&pooled_waves);
-    const sim::LaunchResult rp = pooled.launch(1000, kernel);
+    struct Run {
+        sim::LaunchResult r;
+        std::vector<sim::WaveTrace> waves;
+        sim::Ticks busy = 0.0;
+    };
+    for (const std::uint64_t g : {8u, 12u, 100u, 4096u}) {
+        for (const std::uint64_t n : {1u, 5u, 1000u, 1001u, 20000u}) {
+            sim::DeviceParams dp = small_hw().gpu;
+            dp.g = g;
+            std::vector<std::uint32_t> runs(n, 0);
+            std::atomic<std::uint64_t> crossings{0};  // tiles spanning two waves
+            auto tile = [&](std::uint64_t first, std::span<sim::OpCounter> ops) {
+                if (first / g != (first + ops.size() - 1) / g) ++crossings;
+                for (std::uint64_t i = 0; i < ops.size(); ++i) {
+                    ++runs[first + i];  // the items of one launch are distinct
+                    charge(first + i, ops[i]);
+                }
+            };
+            auto launch = [&](util::ThreadPool* p, bool tiled) {
+                sim::Device dev(dp, p);
+                Run run;
+                dev.set_wave_trace(&run.waves);
+                run.r = tiled ? dev.launch_tiled(n, tile) : dev.launch(n, kernel);
+                run.busy = dev.stats().busy_time;
+                return run;
+            };
+            const Run serial = launch(nullptr, false);
+            for (const auto& [p, tiled] :
+                 {std::pair<util::ThreadPool*, bool>{&pool, false}, {&pool, true},
+                  {nullptr, true}}) {
+                SCOPED_TRACE(::testing::Message() << "g=" << g << " items=" << n
+                                                  << " pooled=" << (p != nullptr)
+                                                  << " tiled=" << tiled);
+                std::fill(runs.begin(), runs.end(), 0u);
+                const Run other = launch(p, tiled);
+                if (tiled) {
+                    EXPECT_EQ(crossings.load(), 0u);
+                    EXPECT_EQ(std::count(runs.begin(), runs.end(), 1u),
+                              static_cast<std::ptrdiff_t>(n));
+                }
+                const sim::LaunchResult& rs = serial.r;
+                const sim::LaunchResult& rp = other.r;
+                EXPECT_EQ(rs.time, rp.time);
+                EXPECT_EQ(rs.items, rp.items);
+                EXPECT_EQ(rs.waves, rp.waves);
+                EXPECT_EQ(rs.max_item_ops, rp.max_item_ops);
+                EXPECT_EQ(rs.total_ops.compute, rp.total_ops.compute);
+                EXPECT_EQ(rs.total_ops.mem_coalesced, rp.total_ops.mem_coalesced);
+                EXPECT_EQ(rs.total_ops.mem_strided, rp.total_ops.mem_strided);
+                EXPECT_EQ(serial.busy, other.busy);
 
-    EXPECT_EQ(rs.time, rp.time);
-    EXPECT_EQ(rs.items, rp.items);
-    EXPECT_EQ(rs.waves, rp.waves);
-    EXPECT_EQ(rs.max_item_ops, rp.max_item_ops);
-    EXPECT_EQ(rs.total_ops.compute, rp.total_ops.compute);
-    EXPECT_EQ(rs.total_ops.mem_coalesced, rp.total_ops.mem_coalesced);
-    EXPECT_EQ(rs.total_ops.mem_strided, rp.total_ops.mem_strided);
-    EXPECT_EQ(serial.stats().busy_time, pooled.stats().busy_time);
-
-    ASSERT_EQ(serial_waves.size(), pooled_waves.size());
-    for (std::size_t w = 0; w < serial_waves.size(); ++w) {
-        SCOPED_TRACE(::testing::Message() << "wave " << w);
-        EXPECT_EQ(serial_waves[w].first_item, pooled_waves[w].first_item);
-        EXPECT_EQ(serial_waves[w].items, pooled_waves[w].items);
-        EXPECT_EQ(serial_waves[w].duration, pooled_waves[w].duration);
-        EXPECT_EQ(serial_waves[w].max_item_ops, pooled_waves[w].max_item_ops);
-        EXPECT_EQ(serial_waves[w].ops.compute, pooled_waves[w].ops.compute);
-        EXPECT_EQ(serial_waves[w].ops.mem_coalesced, pooled_waves[w].ops.mem_coalesced);
-        EXPECT_EQ(serial_waves[w].ops.mem_strided, pooled_waves[w].ops.mem_strided);
+                ASSERT_EQ(serial.waves.size(), other.waves.size());
+                for (std::size_t w = 0; w < serial.waves.size(); ++w) {
+                    SCOPED_TRACE(::testing::Message() << "wave " << w);
+                    const sim::WaveTrace& a = serial.waves[w];
+                    const sim::WaveTrace& b = other.waves[w];
+                    EXPECT_EQ(a.first_item, b.first_item);
+                    EXPECT_EQ(a.items, b.items);
+                    EXPECT_EQ(a.duration, b.duration);
+                    EXPECT_EQ(a.max_item_ops, b.max_item_ops);
+                    EXPECT_EQ(a.ops.compute, b.ops.compute);
+                    EXPECT_EQ(a.ops.mem_coalesced, b.ops.mem_coalesced);
+                    EXPECT_EQ(a.ops.mem_strided, b.ops.mem_strided);
+                }
+            }
+        }
     }
+}
+
+/// The coalesced mergesort with the default tile hook: every work-item
+/// runs alone through run_device_task — the single-item reference for the
+/// staged tile body.
+template <typename T>
+class OneItemCoalesced final : public algos::MergesortCoalesced<T> {
+public:
+    void run_device_tile(std::span<T> data, std::uint64_t count, std::uint64_t first,
+                         std::span<sim::OpCounter> ops) const override {
+        LevelAlgorithm<T>::run_device_tile(data, count, first, ops);
+    }
+};
+
+// Tiled device levels of the coalesced mergesort, pooled, must match an
+// inline run that launches one item at a time: output bytes, reports, span
+// trees, and (validate on) the per-item logs and the schedule-independence
+// re-run. n = 2^16 gives pooled claims of many adjacent tasks at every
+// staged level; g = 24 cuts them at wave boundaries that are no multiple
+// of the tile width, and small task counts leave partial tiles. The
+// pipelined executor enters the device mid-tree (before_gpu_levels
+// interleaves), and the §7 parallel-tail schedule runs the same tiles.
+TEST(PoolDeterminism, TiledCoalescedMatchesOneItemLaunches) {
+    util::ThreadPool inline_pool(0);
+    util::ThreadPool pool(pooled_workers());
+    const std::uint64_t n = std::uint64_t{1} << 16;
+    const auto input = make_input(n);
+    std::vector<std::int32_t> want(input);
+    std::sort(want.begin(), want.end());
+    const algos::MergesortCoalesced<std::int32_t> tiled;
+    const OneItemCoalesced<std::int32_t> one_item;
+    for (const std::uint64_t g : {24u, 64u}) {
+        for (const int e : {2, 3, 4, 5}) {
+            SCOPED_TRACE(::testing::Message() << "g=" << g << " executor=" << kExecutors[e]);
+            const auto reference = run_one(&inline_pool, e, one_item, input, true, g);
+            const auto pooled = run_one(&pool, e, tiled, input, true, g);
+            expect_identical(reference, pooled);
+            EXPECT_EQ(pooled.out, want);
+            EXPECT_GT(pooled.launches_checked, 0u);  // validate ran on the levels
+        }
+    }
+
+    std::vector<algos::ParallelTailReport> reps;
+    for (util::ThreadPool* p : {&inline_pool, &pool}) {
+        sim::Hpu h(small_hw(), p);
+        std::vector<std::int32_t> data(input);
+        reps.push_back(algos::mergesort_gpu_parallel_tail(h, std::span(data), 4));
+        EXPECT_EQ(data, want);
+    }
+    EXPECT_EQ(reps[0].total, reps[1].total);
+    EXPECT_EQ(reps[0].deep_kernels, reps[1].deep_kernels);
+    EXPECT_EQ(reps[0].tail_kernels, reps[1].tail_kernels);
 }
 
 // Raw CPU layer: the pooled fold must keep the full per-category OpCounter
