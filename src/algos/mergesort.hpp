@@ -155,7 +155,7 @@ public:
         // the inverse of the after_gpu_levels permutation, same tiled
         // transpose price.
         const std::uint64_t m = device_data.size() / runs_in;
-        util::transpose(device_data.data(), m, dscratch_.data(), runs_in, runs_in, m);
+        transpose_region(device_data.data(), m, dscratch_.data(), runs_in, runs_in, m);
         cur_is_scratch_ = true;
         ops.charge_mem(2 * device_data.size(), sim::Pattern::kCoalesced);
         ops.charge_compute(device_data.size() / 4);
@@ -187,7 +187,7 @@ public:
         if (!cur_is_scratch_) {
             std::copy(device_data.begin(), device_data.end(), dscratch_.begin());
         }
-        util::transpose(dscratch_.data(), runs_, device_data.data(), m, m, runs_);
+        transpose_region(dscratch_.data(), runs_, device_data.data(), m, m, runs_);
         cur_is_scratch_ = false;
         // A tiled device transpose moves each word twice, coalesced.
         ops.charge_mem(2 * device_data.size(), sim::Pattern::kCoalesced);
@@ -245,6 +245,29 @@ private:
     static std::uint64_t tile_width(std::uint64_t m) {
         if (m < kLineElems) return 0;
         return std::min(kLineElems, kStageBytes / (4 * m * sizeof(T)));
+    }
+
+    /// util::transpose of a whole device region for the layout hooks, in
+    /// row bands across the bound pool (the hooks run on the caller while
+    /// the workers would idle). Each band writes its own columns of `out`,
+    /// and bands are whole blocks. Wall-side only, like the tiles.
+    void transpose_region(const T* in, std::size_t in_ld, T* out, std::size_t out_ld,
+                          std::size_t rows, std::size_t cols) const {
+        util::ThreadPool* pool = this->exec_.pool;
+        if (pool == nullptr || pool->in_batch()) {
+            util::transpose(in, in_ld, out, out_ld, rows, cols);
+            return;
+        }
+        const std::size_t per_band = util::ceil_div(rows, pool->worker_count() + 1);
+        const std::size_t step = util::ceil_div(per_band, kLineElems) * kLineElems;
+        pool->parallel_for(
+            util::ceil_div(rows, step),
+            [&](std::size_t b) {
+                const std::size_t r0 = b * step;
+                util::transpose(in + r0 * in_ld, in_ld, out + r0, out_ld,
+                                std::min(step, rows - r0), cols);
+            },
+            /*grain=*/1);
     }
 
     /// The device body of tasks [first, first + ops.size()): task j merges
